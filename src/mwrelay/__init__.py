@@ -26,8 +26,10 @@ from .codec import (
     CandidateSet,
     CapabilityError,
     DownlinkCodebook,
+    Scheme,
     build_v,
     candidate_set,
+    compile_scheme,
     encode_uplink,
     make_block_codes,
     recover_messages,

@@ -19,19 +19,11 @@ import numpy as np
 
 from . import lp
 from .channel import DownlinkSpec, UplinkSpec, mutual_info, uplink_bound
-
-MsgId = tuple[int, ...]
+from .schedule import MsgId, message_ids
 
 #: Real-valued downlink margins within this tolerance of zero are treated
 #: as boundary cases (neither strictly inside nor strictly outside).
 MARGIN_TOL = 1e-9
-
-
-def message_ids(num_users: int) -> list[MsgId]:
-    """All message identities: singletons then pairs, both ascending."""
-    singles = [(i,) for i in range(1, num_users + 1)]
-    pairs = [tuple(p) for p in itertools.combinations(range(1, num_users + 1), 2)]
-    return singles + pairs
 
 
 def as_msg_id(key) -> MsgId:

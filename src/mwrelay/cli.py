@@ -328,6 +328,19 @@ def cmd_region_sweep(cfg: dict, args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mwrelay",
@@ -338,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("--seed", type=_int_at_least(0), default=0, help="master seed")
+        p.add_argument("--threads", type=_int_at_least(1), default=1, help="worker threads")
         if name == "schedule-build":
             p.add_argument("--json-out", default=None, help="table JSON dump path")
         p.set_defaults(fn=fn)

@@ -8,10 +8,15 @@ uniform dithers.  The relay decodes the field sum of the two message
 vectors by exact maximum likelihood over all candidates, which is why
 desk-scale bounds on F^k apply throughout.
 
-Downlink: the relay indexes a lazily materialized random codebook by
-the concatenated decoded sums and broadcasts the selected word; each
-user restricts attention to the sum vectors consistent with its own
-messages and again decodes by exact maximum likelihood.
+The noise-free relay word is a fixed linear map of the message symbols.
+``compile_scheme`` builds that map once per instance, together with
+each user's enumerated image of the symbols it does not know.
+
+Downlink: the relay indexes a counter-based random codebook by the
+concatenated decoded sums and broadcasts the selected word; each user
+restricts attention to the sum vectors consistent with its own
+messages, decodes by exact maximum likelihood, and reads the messages
+it lacks from the decoded word's witness.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .channel import DownlinkSpec, UplinkSpec, sample_uplink_noise, uplink_bound
 from .gf import Field
 from .rng import stream
 from .schedule import MessageTable, MsgId, message_ids
-from .shuffle import SimplifiedColumn, decode_matrix
+from .shuffle import SimplifiedColumn
 
 #: Largest candidate enumeration any exact-ML step will attempt.
 ENUMERATION_LIMIT = 2**20
@@ -133,28 +138,12 @@ def encode_uplink(u: np.ndarray, code: BlockCode, transmitter: int, field: Field
     return field.add(gf.mat_mul(field, u, code.generator), code.dithers[transmitter])
 
 
-def build_v(
-    field: Field, cols: list[SimplifiedColumn], block: MsgId, messages: Messages
-) -> np.ndarray:
-    """User 1's function vector for a block, one symbol per column.
-
-    A column with one starred symbol contributes that symbol; two equal
-    symbols contribute a single copy; two distinct symbols contribute
-    their field sum; an empty column contributes zero.
-    """
-    block_cols = [c for c in cols if c.block == block]
-    out = np.zeros(len(block_cols), dtype=np.int64)
-    for i, col in enumerate(block_cols):
-        acc = 0
-        for ref in col.entries():
-            acc = field.add(acc, int(messages[ref.msg][ref.pos]))
-        out[i] = acc
-    return out
-
-
 @lru_cache(maxsize=16)
 def _all_vectors(order: int, k: int) -> np.ndarray:
-    """All length-k vectors over [0, order), ascending big-endian, (order^k, k)."""
+    """All length-k vectors over [0, order), ascending big-endian, (order^k, k).
+
+    The array is cached and shared, so it is read-only.
+    """
     if order**k > ENUMERATION_LIMIT:
         raise CapabilityError(
             f"enumerating {order}^{k} candidates exceeds the 2^20 desk-scale bound;"
@@ -165,29 +154,8 @@ def _all_vectors(order: int, k: int) -> np.ndarray:
     idx = np.arange(count)
     for t in range(k):
         out[:, t] = (idx // order ** (k - 1 - t)) % order
+    out.setflags(write=False)
     return out
-
-
-def _encode_all(field: Field, g: np.ndarray) -> np.ndarray:
-    """Codewords of every message, via the GF(p) expansion and BLAS.
-
-    Matrix products run in floating point, which is exact as long as the
-    digit dot products stay below the mantissa; float32 is used when the
-    bound allows (fewer than 2^24), float64 otherwise.
-    """
-    k, n = g.shape
-    cands = _all_vectors(field.order, k)
-    if k == 0:
-        return np.zeros((1, n), dtype=np.int64)
-    if field.m == 1:
-        digits, expanded = cands, np.asarray(g, dtype=np.int64)
-    else:
-        digits, expanded = field.digit_rows(cands), field.expand_matrix(g)
-    dtype = np.float32 if digits.shape[1] * (field.p - 1) ** 2 < 2**24 else np.float64
-    prod = (digits.astype(dtype) @ expanded.astype(dtype)) % field.p
-    if field.m == 1:
-        return prod.astype(np.int64)
-    return field.rows_from_digits(prod.astype(np.int64))
 
 
 def relay_decode_sum(
@@ -204,37 +172,134 @@ def relay_decode_sum(
     if y0.shape[0] != code.n:
         raise ValueError(f"received length {y0.shape[0]} != n={code.n}")
     z = field.sub(y0, np.asarray(dither_sum, dtype=np.int64))
-    codewords = _encode_all(field, code.generator)
-    noise = field.sub(z[None, :], codewords)
+    cands = _all_vectors(field.order, code.k)
+    noise = field.sub(z[None, :], gf.mat_mul(field, cands, code.generator))
     with np.errstate(divide="ignore"):
         logp = np.log(validate_pmf(up.noise_pmf))
     scores = logp[noise].sum(axis=1)
-    best = int(np.argmax(scores))
-    return _all_vectors(field.order, code.k)[best].copy()
+    return cands[int(np.argmax(scores))].copy()
 
 
-def _concat_blocks(parts: list[np.ndarray]) -> np.ndarray:
-    if not parts:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(parts)
+# -- the compiled relay map ------------------------------------------------------
 
 
-def relay_word(
-    field: Field, messages: Messages, table: MessageTable, cols: list[SimplifiedColumn]
-) -> np.ndarray:
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True)
+class UserMap:
+    """User ``a``'s split of the relay map into known and unknown rows.
+
+    ``image`` holds every word the unknown symbols can contribute, sorted
+    by big-endian index (``keys``); ``witnesses[i]`` is the assignment of
+    the unknown symbols, concatenated in ``unknown`` order, that produces
+    ``image[i]``.  The arrays are shared by every trial and read-only.
+    """
+
+    known: tuple[MsgId, ...]
+    unknown: tuple[MsgId, ...]
+    r_known: np.ndarray
+    image: np.ndarray
+    keys: np.ndarray
+    witnesses: np.ndarray
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """The relay word as one GF(p)-linear map of the message symbols.
+
+    Message symbols are concatenated in ``ids`` order.  ``relay`` maps
+    them to the noise-free relay word: per block, the block message plus
+    user 1's function vector.  ``func`` maps them to the function vectors
+    alone.  ``users[a - 1]`` is user ``a``'s view.
+    """
+
+    field: Field
+    table: MessageTable
+    ids: tuple[MsgId, ...]
+    relay: np.ndarray
+    func: np.ndarray
+    users: tuple[UserMap, ...]
+
+
+def _word_keys(field: Field, words: np.ndarray) -> np.ndarray:
+    """Big-endian integer index of each row of ``words``.
+
+    Relay words of a compiled scheme always fit: user 1's image covers
+    all F^N words of length N and passed the 2^20 enumeration bound.
+    """
+    n = words.shape[1]
+    return words @ (field.order ** np.arange(n - 1, -1, -1, dtype=np.int64))
+
+
+def _symbols(messages: Messages, ids) -> np.ndarray:
+    """Message vectors concatenated in ``ids`` order."""
+    return np.concatenate(
+        [np.zeros(0, dtype=np.int64)] + [np.asarray(messages[m], dtype=np.int64) for m in ids]
+    )
+
+
+def compile_scheme(field: Field, table: MessageTable, cols: list[SimplifiedColumn]) -> Scheme:
+    """Build the relay map and every user's cached candidate image.
+
+    A column with one starred symbol forwards that symbol; two equal
+    symbols forward a single copy; two distinct symbols forward their
+    field sum; an empty column forwards zero.  Raises ``CapabilityError``
+    when a user's image exceeds the enumeration bound and
+    ``ShuffleSolveError`` when the word does not determine some user's
+    unknown messages.
+    """
+    lengths = table.lengths
+    ids = tuple(message_ids(table.num_users))
+    first = dict(zip(ids, np.cumsum([0] + [lengths.k[m] for m in ids]).tolist()))
+
+    def rows(msgs) -> list[int]:
+        return [first[m] + i for m in msgs for i in range(lengths.k[m])]
+
+    func = np.zeros((len(rows(ids)), table.total_cols), dtype=np.int64)
+    for col in cols:
+        for ref in col.entries():
+            func[first[ref.msg] + ref.pos, col.index] = 1
+    # Starred symbols all involve user 1 and block messages never do, so
+    # the block messages' ones land on zeros.
+    relay = func.copy()
+    for b, at in table.block_offsets().items():
+        relay[rows([b]), np.arange(at, at + lengths.k[b])] = 1
+    users = []
+    for a in range(1, table.num_users + 1):
+        known = tuple(m for m in ids if a in m)
+        unknown = tuple(m for m in ids if a not in m)
+        assignments = _all_vectors(field.order, len(rows(unknown)))
+        image = gf.mat_mul(field, assignments, relay[rows(unknown)])
+        keys = _word_keys(field, image)
+        order = np.argsort(keys)
+        if np.any(np.diff(keys[order]) == 0):
+            raise ShuffleSolveError(
+                f"user {a}: the relay word does not determine its unknown messages;"
+                f" shuffle guarantees violated"
+            )
+        users.append(UserMap(
+            known, unknown, _frozen(relay[rows(known)]),
+            _frozen(image[order]), _frozen(keys[order]), _frozen(assignments[order]),
+        ))
+    return Scheme(field, table, ids, _frozen(relay), _frozen(func), tuple(users))
+
+
+def relay_word(scheme: Scheme, messages: Messages) -> np.ndarray:
     """Noise-free relay word: per block, message plus function vector."""
-    parts = []
-    for b in table.blocks:
-        v = build_v(field, cols, b.msg, messages)
-        parts.append(field.add(np.asarray(messages[b.msg][: b.width]), v))
-    return _concat_blocks(parts)
+    return gf.mat_mul(scheme.field, _symbols(messages, scheme.ids), scheme.relay)
+
+
+def build_v(scheme: Scheme, messages: Messages) -> np.ndarray:
+    """User 1's function vectors, one symbol per column, in block order."""
+    return gf.mat_mul(scheme.field, _symbols(messages, scheme.ids), scheme.func)
 
 
 def uplink_round(
-    field: Field,
+    scheme: Scheme,
     messages: Messages,
-    table: MessageTable,
-    cols: list[SimplifiedColumn],
     codes: dict[MsgId, BlockCode],
     up: UplinkSpec,
     rng: np.random.Generator,
@@ -243,19 +308,19 @@ def uplink_round(
 
     Returns the relay's estimate of the concatenated sums.
     """
+    field = scheme.field
+    v_all = build_v(scheme, messages)
     parts = []
-    for b in table.blocks:
-        code = codes[b.msg]
-        owner = block_owner(b.msg)
-        w = np.asarray(messages[b.msg][: b.width], dtype=np.int64)
-        v = build_v(field, cols, b.msg, messages)
-        x_owner = encode_uplink(w, code, owner, field)
-        x_one = encode_uplink(v, code, 1, field)
+    for b, at in scheme.table.block_offsets().items():
+        code = codes[b]
+        owner = block_owner(b)
+        x_owner = encode_uplink(messages[b], code, owner, field)
+        x_one = encode_uplink(v_all[at : at + code.k], code, 1, field)
         noise = sample_uplink_noise(up, code.n, rng)
         y0 = field.add(field.add(x_owner, x_one), noise)
         dither_sum = field.add(code.dithers[owner], code.dithers[1])
         parts.append(relay_decode_sum(y0, code, dither_sum, up))
-    return _concat_blocks(parts)
+    return np.concatenate(parts)
 
 
 # -- downlink ---------------------------------------------------------------------
@@ -266,103 +331,72 @@ class CandidateSet:
     """Distinct relay words consistent with one user's prior messages.
 
     ``words`` rows are sorted lexicographically (equal to ascending
-    big-endian integer index); ``witnesses[i]`` is one assignment of the
-    unknown messages producing ``words[i]``.
+    big-endian integer index).
     """
 
     user: int
     words: np.ndarray
-    witnesses: list[Messages]
 
 
-def candidate_set(
-    field: Field,
-    a: int,
-    known: Messages,
-    table: MessageTable,
-    cols: list[SimplifiedColumn],
-) -> CandidateSet:
-    """Enumerate the relay words user ``a`` cannot rule out a priori.
+def _known_offset(scheme: Scheme, user: UserMap, known: Messages) -> np.ndarray:
+    """The known messages' part of the relay word, u0 = known R_known."""
+    return gf.mat_mul(scheme.field, _symbols(known, user.known), user.r_known)
 
-    The relay word is a linear image of the messages, so the enumeration
-    evaluates the affine map once per unknown symbol and then sweeps all
-    symbol assignments in bulk.
-    """
-    unknown_ids = [m for m in message_ids(table.num_users) if a not in m]
-    lengths = table.lengths
-    total_syms = sum(lengths.k[m] for m in unknown_ids)
-    if field.order**total_syms > ENUMERATION_LIMIT:
-        raise CapabilityError(
-            f"user {a}: candidate set of size {field.order}^{total_syms} exceeds 2^20"
-        )
 
-    def assemble(vec: np.ndarray) -> Messages:
-        msgs = dict(known)
-        at = 0
-        for m in unknown_ids:
-            msgs[m] = vec[at : at + lengths.k[m]]
-            at += lengths.k[m]
-        return msgs
+def candidate_set(scheme: Scheme, a: int, known: Messages) -> CandidateSet:
+    """The relay words user ``a`` cannot rule out a priori: u0 plus its image."""
+    user = scheme.users[a - 1]
+    words = scheme.field.add(user.image, _known_offset(scheme, user, known))
+    return CandidateSet(a, words[np.argsort(_word_keys(scheme.field, words))])
 
-    base_vec = np.zeros(total_syms, dtype=np.int64)
-    u0 = relay_word(field, assemble(base_vec), table, cols)
-    coeff = np.zeros((total_syms, u0.shape[0]), dtype=np.int64)
-    for s in range(total_syms):
-        e = np.zeros(total_syms, dtype=np.int64)
-        e[s] = 1
-        coeff[s] = field.sub(relay_word(field, assemble(e), table, cols), u0)
 
-    assignments = _all_vectors(field.order, total_syms)
-    if total_syms == 0:
-        words = u0[None, :]
-        return CandidateSet(a, words, [assemble(base_vec)])
-    if field.m == 1:
-        digits, expanded = assignments, coeff
-    else:
-        digits, expanded = field.digit_rows(assignments), field.expand_matrix(coeff)
-    dtype = np.float32 if digits.shape[1] * (field.p - 1) ** 2 < 2**24 else np.float64
-    prod = (digits.astype(dtype) @ expanded.astype(dtype)) % field.p
-    if field.m == 1:
-        words = prod.astype(np.int64)
-    else:
-        words = field.rows_from_digits(prod.astype(np.int64))
-    words = field.add(words, u0[None, :])
-    # Unique rows come out lexicographically sorted, i.e. by ascending
-    # big-endian integer index; witnesses from the first producer.
-    uniq, first = np.unique(words, axis=0, return_index=True)
-    witnesses = [assemble(assignments[first[i]].copy()) for i in range(uniq.shape[0])]
-    return CandidateSet(a, uniq, witnesses)
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = tuple(np.uint64(c) for c in (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31))
+
+
+def _splitmix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function, a bijection of uint64 arrays."""
+    s1, m1, s2, m2, s3 = _MIX
+    z = z ^ (z >> s1)
+    z *= m1
+    z ^= z >> s2
+    z *= m2
+    z ^= z >> s3
+    return z
 
 
 class DownlinkCodebook:
-    """Random codebook over the relay input alphabet, materialized lazily.
+    """Random codebook over the relay input alphabet, computed on demand.
 
-    Entry ``u`` (a relay word, keyed by its digits) is an i.i.d. draw
-    from the input distribution, deterministic in (seed, u).
+    Entry ``u`` (a relay word) is an i.i.d. draw from the input
+    distribution, deterministic in (seed, u).  A counter-based hash
+    derives it (Salmon et al., SC'11).  The codebook key is drawn once
+    from the seed's stream.  A word's digits are absorbed as a sum of
+    per-position odd multipliers, each a SplitMix64 output of the key and
+    the position, and mixed into the word's seed; position t of the
+    codeword is output t + 1 of the SplitMix64 sequence from that seed.
+    Words that differ in one position never share a seed.
     """
 
     def __init__(self, input_dist: np.ndarray, n_dl: int, seed: int):
         self.input_dist = validate_pmf(np.asarray(input_dist, dtype=np.float64))
         self.n_dl = int(n_dl)
         self.seed = int(seed)
-        self._cache: dict[bytes, np.ndarray] = {}
+        self._key = stream(self.seed, "downlink-codebook").integers(0, 2**64, dtype=np.uint64)
+        self._counters = _GAMMA * np.arange(1, self.n_dl + 1, dtype=np.uint64)
         self._cdf = np.cumsum(self.input_dist)
         self._last = int(np.nonzero(self.input_dist)[0][-1])
 
     def codeword(self, u: np.ndarray) -> np.ndarray:
+        """The codeword of one word, or the (C, n_dl) rows of a (C, len) stack."""
         u = np.asarray(u, dtype=np.int64)
-        key = u.tobytes()
-        # Concurrent cache misses at worst recompute the same deterministic
-        # row, so no locking is needed.
-        got = self._cache.get(key)
-        if got is None:
-            rng = stream(self.seed, "downlink-codebook", *[int(s) for s in u])
-            draws = rng.random(self.n_dl)
-            got = np.minimum(
-                np.sum(self._cdf[None, :] < draws[:, None], axis=1), self._last
-            ).astype(np.int64)
-            self._cache[key] = got
-        return got
+        words = np.atleast_2d(u).astype(np.uint64)
+        positions = np.arange(1, words.shape[1] + 1, dtype=np.uint64)
+        multipliers = _splitmix(self._key + _GAMMA * positions) | np.uint64(1)
+        seeds = _splitmix(self._key + (words + np.uint64(1)) @ multipliers)
+        draws = (_splitmix(seeds[:, None] + self._counters) >> np.uint64(11)) * 2.0**-53
+        rows = np.minimum(np.searchsorted(self._cdf, draws), self._last)
+        return rows[0] if u.ndim == 1 else rows
 
 
 def user_decode_word(
@@ -373,85 +407,29 @@ def user_decode_word(
     a: int,
 ) -> np.ndarray:
     """Exact ML over the candidate relay words; ties to the smallest index."""
-    w = down.channel(a)
-    y_a = np.asarray(y_a, dtype=np.int64)
     with np.errstate(divide="ignore"):
-        logw = np.log(w)
-    best_score = -np.inf
-    best = candidates.words[0]
-    for i in range(candidates.words.shape[0]):
-        x0 = codebook.codeword(candidates.words[i])
-        score = float(logw[x0, y_a].sum())
-        if score > best_score:
-            best_score = score
-            best = candidates.words[i]
-    return best.copy()
+        logw = np.log(down.channel(a))
+    x = codebook.codeword(candidates.words)
+    scores = logw[x, np.asarray(y_a, dtype=np.int64)].sum(axis=1)
+    return candidates.words[int(np.argmax(scores))].copy()
 
 
-def recover_messages(
-    field: Field,
-    a: int,
-    word: np.ndarray,
-    known: Messages,
-    table: MessageTable,
-    cols: list[SimplifiedColumn],
-) -> Messages:
+def recover_messages(scheme: Scheme, a: int, word: np.ndarray, known: Messages) -> Messages:
     """All messages user ``a`` must decode, given the relay word.
 
-    User 1 knows every starred symbol, subtracts each block's function
-    vector, and reads the block messages directly.  Any other user first
-    subtracts its own block messages to expose the function vectors of
-    its blocks, solves the shuffled linear system for the starred
-    symbols it lacks, and then proceeds as user 1 does.
+    The word minus the known messages' part is looked up in the user's
+    cached image; its witness holds the unknown messages.
     """
+    user = scheme.users[a - 1]
     word = np.asarray(word, dtype=np.int64)
-    offsets = table.block_offsets()
-
-    if a == 1:
-        out = {}
-        for b in table.blocks:
-            v = build_v(field, cols, b.msg, known)
-            seg = word[offsets[b.msg] : offsets[b.msg] + b.width]
-            out[b.msg] = field.sub(seg, v)
-        return out
-
-    system = decode_matrix(cols, a, table)
-    col_value = {}
-    for b in table.blocks:
-        if a in b.star_rows:
-            seg = word[offsets[b.msg] : offsets[b.msg] + b.width]
-            v_theta = field.sub(seg, np.asarray(known[b.msg][: b.width], dtype=np.int64))
-            base = offsets[b.msg]
-            for i in range(b.width):
-                col_value[base + i] = int(v_theta[i])
-
-    rhs = np.zeros(len(system.col_indices), dtype=np.int64)
-    for r, ci in enumerate(system.col_indices):
-        val = col_value[ci]
-        for ref in system.known_refs[r]:
-            val = field.sub(val, int(known[ref.msg][ref.pos]))
-        rhs[r] = val
-    sol = gf.solve_linear(field, system.matrix, rhs)
-    if sol.status != "unique":
-        raise ShuffleSolveError(
-            f"user {a}: decode system is {sol.status}; shuffle guarantees violated"
-        )
-
-    full = dict(known)
-    full[(1,)] = np.zeros(table.lengths.k[(1,)], dtype=np.int64)
-    for j in range(2, table.num_users + 1):
-        if j != a:
-            full[(1, j)] = np.zeros(table.lengths.k[(1, j)], dtype=np.int64)
-    for ref, val in zip(system.unknown_order, sol.x):
-        full[ref.msg][ref.pos] = val
-
-    out = {}
-    for b in table.blocks:
-        if a not in b.msg:
-            v = build_v(field, cols, b.msg, full)
-            seg = word[offsets[b.msg] : offsets[b.msg] + b.width]
-            out[b.msg] = field.sub(seg, v)
-    for m in message_ids(table.num_users):
-        if a not in m and m not in out:
-            out[m] = full[m]
+    rest = scheme.field.sub(word, _known_offset(scheme, user, known))
+    key = _word_keys(scheme.field, rest[None, :])[0]
+    i = int(np.searchsorted(user.keys, key))
+    if i == user.keys.size or user.keys[i] != key:
+        raise ValueError(f"user {a}: {word.tolist()} is not a candidate relay word")
+    out, at = {}, 0
+    for m in user.unknown:
+        k = scheme.table.lengths.k[m]
+        out[m] = user.witnesses[i, at : at + k].copy()
+        at += k
     return out

@@ -166,6 +166,10 @@ class Field:
                 self.reduction_poly = poly
         self._powers = p ** np.arange(m, dtype=np.int64)
         self._build_log_tables()
+        # reps[e] is the m-by-m GF(p) matrix M with digits(x*e) = digits(x) @ M
+        # (mod p): row r holds the digits of p^r * e.
+        self._reps = self.digits(self.mul(np.arange(order)[:, None], self._powers[None, :]))
+        self._reps.setflags(write=False)
 
     # -- construction helpers -------------------------------------------------
 
@@ -240,6 +244,8 @@ class Field:
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
             a = np.asarray(a, dtype=np.int64)
             b = np.asarray(b, dtype=np.int64)
+            if self.m == 1:
+                return (a * b) % self.p
             a, b = np.broadcast_arrays(a, b)
             out = np.zeros(a.shape, dtype=np.int64)
             nz = (a != 0) & (b != 0)
@@ -275,11 +281,6 @@ class Field:
         d = np.asarray(d, dtype=np.int64)
         return (d % self.p) @ self._powers
 
-    def scalar_rep(self, e: int) -> np.ndarray:
-        """m-by-m GF(p) matrix M with digits(x*e) = digits(x) @ M (mod p)."""
-        rows = [self.digits(self.mul(int(self.p**r), int(e))) for r in range(self.m)]
-        return np.stack(rows).astype(np.int64)
-
     def expand_matrix(self, a: np.ndarray) -> np.ndarray:
         """GF(p)-linear expansion of right multiplication by matrix ``a``.
 
@@ -288,26 +289,15 @@ class Field:
         """
         a = np.asarray(a, dtype=np.int64)
         rows, cols = a.shape
-        out = np.zeros((rows * self.m, cols * self.m), dtype=np.int64)
-        reps = {}
-        for i in range(rows):
-            for j in range(cols):
-                e = int(a[i, j])
-                if e == 0:
-                    continue
-                if e not in reps:
-                    reps[e] = self.scalar_rep(e)
-                out[i * self.m : (i + 1) * self.m, j * self.m : (j + 1) * self.m] = reps[e]
-        return out
+        return self._reps[a].transpose(0, 2, 1, 3).reshape(rows * self.m, cols * self.m)
 
     def digit_rows(self, v: np.ndarray) -> np.ndarray:
         """(B, k) elements -> (B, k*m) GF(p) digit rows."""
         v = np.asarray(v, dtype=np.int64)
-        return self.digits(v).reshape(v.shape[0], -1)
+        return self.digits(v).reshape(v.shape[0], v.shape[1] * self.m)
 
     def rows_from_digits(self, d: np.ndarray) -> np.ndarray:
-        b = d.shape[0]
-        return self.from_digits(d.reshape(b, -1, self.m))
+        return self.from_digits(d.reshape(d.shape[0], d.shape[1] // self.m, self.m))
 
     # -- serialization / identity -----------------------------------------------
 
@@ -341,16 +331,24 @@ class Field:
 
 
 def mat_mul(field: Field, u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Row vector times matrix over the field."""
+    """Row vector, or (B, k) stack of row vectors, times a (k, n) matrix.
+
+    One floating-point BLAS product over the GF(p) digit expansion,
+    reduced mod p.  It is exact while the digit dot products stay below
+    the mantissa: float32 when k*m*(p-1)^2 < 2^24, float64 otherwise.
+    """
     u = np.asarray(u, dtype=np.int64)
     g = np.asarray(g, dtype=np.int64)
-    if u.ndim != 1 or g.ndim != 2 or u.shape[0] != g.shape[0]:
+    if u.ndim not in (1, 2) or g.ndim != 2 or u.shape[-1] != g.shape[0]:
         raise ValueError(f"dimension mismatch: u has {u.shape}, G has {g.shape}")
-    out = np.zeros(g.shape[1], dtype=np.int64)
-    for i in range(u.shape[0]):
-        if u[i]:
-            out = field.add(out, field.mul(int(u[i]), g[i]))
-    return out
+    rows = np.atleast_2d(u)
+    if field.m > 1:
+        rows, g = field.digit_rows(rows), field.expand_matrix(g)
+    dtype = np.float32 if rows.shape[1] * (field.p - 1) ** 2 < 2**24 else np.float64
+    out = ((rows.astype(dtype) @ g.astype(dtype)) % field.p).astype(np.int64)
+    if field.m > 1:
+        out = field.rows_from_digits(out)
+    return out[0] if u.ndim == 1 else out
 
 
 def _eliminate(field: Field, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -369,9 +367,8 @@ def _eliminate(field: Field, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
             m[[r, pr]] = m[[pr, r]]
         m[r] = field.mul(field.inv(int(m[r, c])), m[r])
         others = np.nonzero(m[:, c])[0]
-        for i in others:
-            if i != r:
-                m[i] = field.sub(m[i], field.mul(int(m[i, c]), m[r]))
+        others = others[others != r]
+        m[others] = field.sub(m[others], field.mul(m[others, c][:, None], m[r][None, :]))
         pivots.append(c)
         r += 1
     return m, pivots

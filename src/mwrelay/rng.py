@@ -17,7 +17,11 @@ def _path_key(component: int | str) -> int:
     if isinstance(component, str):
         return zlib.crc32(component.encode("utf-8"))
     if isinstance(component, (int, np.integer)):
-        return int(component) & 0xFFFFFFFF
+        # SeedSequence splits wider ints into 32-bit words, which would
+        # alias multi-component paths, so only one word is accepted.
+        if not 0 <= component < 2**32:
+            raise ValueError(f"stream path integers must lie in [0, 2**32), got {component}")
+        return int(component)
     raise TypeError(f"stream path components must be int or str, got {type(component)!r}")
 
 

@@ -19,7 +19,7 @@ from . import codec, gf
 from .capacity import RateTuple
 from .channel import DownlinkSpec, UplinkSpec, sample_downlink, sample_uplink_noise
 from .rng import stream
-from .schedule import SymbolLengths, build_table, message_ids, reindex_users
+from .schedule import SymbolLengths, build_table, reindex_users
 from .shuffle import run_shuffle, simplify
 
 
@@ -93,22 +93,29 @@ def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054) ->
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # At p = 0 (or 1) the end equals p in exact arithmetic; rounding can
+    # leave it a few ulps inside, past p_hat.
+    lo = 0.0 if failures == 0 else max(0.0, center - half)
+    hi = 1.0 if failures == trials else min(1.0, center + half)
+    return lo, hi
 
 
-def _run_trial(cfg: TrialConfig, down: DownlinkSpec, table, cols, t: int) -> tuple[bool, int]:
+def _run_trial(
+    cfg: TrialConfig, down: DownlinkSpec, scheme: codec.Scheme, t: int
+) -> tuple[bool, int]:
     field = cfg.up.field
+    table = scheme.table
     lengths = table.lengths
     num_users = lengths.num_users
 
     msg_rng = stream(cfg.master_seed, "messages", t)
-    messages = {m: gf.random_vec(field, lengths.k[m], msg_rng) for m in message_ids(num_users)}
+    messages = {m: gf.random_vec(field, lengths.k[m], msg_rng) for m in scheme.ids}
 
     codes, redraws = codec.make_block_codes(
         table, cfg.n, field, stream(cfg.master_seed, "codes", t), full_rank=True
     )
     word_hat = codec.uplink_round(
-        field, messages, table, cols, codes, cfg.up, stream(cfg.master_seed, "uplink-noise", t)
+        scheme, messages, codes, cfg.up, stream(cfg.master_seed, "uplink-noise", t)
     )
 
     codebook = codec.DownlinkCodebook(
@@ -118,14 +125,22 @@ def _run_trial(cfg: TrialConfig, down: DownlinkSpec, table, cols, t: int) -> tup
 
     for a in range(1, num_users + 1):
         known = {m: v for m, v in messages.items() if a in m}
-        cands = codec.candidate_set(field, a, known, table, cols)
+        cands = codec.candidate_set(scheme, a, known)
         y_a = sample_downlink(down, a, x0, stream(cfg.master_seed, "downlink", t, a))
         word_a = codec.user_decode_word(y_a, codebook, cands, down, a)
-        recovered = codec.recover_messages(field, a, word_a, known, table, cols)
+        recovered = codec.recover_messages(scheme, a, word_a, known)
         for m, v in recovered.items():
             if not np.array_equal(v, messages[m]):
                 return True, redraws
     return False, redraws
+
+
+def _map(job, count: int, threads: int) -> list:
+    """``job(t)`` for t in range(count), in order, on up to ``threads`` threads."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(job, range(count)))
+    return [job(t) for t in range(count)]
 
 
 def run_trials(cfg: TrialConfig, threads: int = 1) -> ErrorStats:
@@ -139,18 +154,13 @@ def run_trials(cfg: TrialConfig, threads: int = 1) -> ErrorStats:
         cfg.down.input_size,
         tuple(cfg.down.channel(old) for old in order),
     )
-    # The schedule is deterministic in the lengths, so build it once.
+    # The schedule and the relay map are deterministic in the lengths, so
+    # build them once.
     table = build_table(lengths)
     cols, _ = run_shuffle(simplify(table))
+    scheme = codec.compile_scheme(cfg.up.field, table, cols)
 
-    def job(t: int) -> tuple[bool, int]:
-        return _run_trial(cfg, down, table, cols, t)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, range(cfg.trials)))
-    else:
-        results = [job(t) for t in range(cfg.trials)]
+    results = _map(lambda t: _run_trial(cfg, down, scheme, t), cfg.trials, threads)
     failures = sum(1 for fail, _ in results if fail)
     redraws = sum(r for _, r in results)
     return ErrorStats.from_counts(failures, cfg.trials, redraws)
@@ -225,11 +235,7 @@ def sum_decode_trials(
         est = codec.relay_decode_sum(y0, code, field.add(q1, q2), up)
         return not np.array_equal(est, field.add(u1, u2)), redraws
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, range(trials)))
-    else:
-        results = [job(t) for t in range(trials)]
+    results = _map(job, trials, threads)
     fails = sum(1 for f, _ in results if f)
     redraws = sum(r for _, r in results)
     return ErrorStats.from_counts(fails, trials, redraws)

@@ -193,3 +193,14 @@ def test_capability_error_exit_code(tmp_path, capsys):
     code, _, err = run(["simulate", "--config", p], capsys)
     assert code == 3
     assert "2^20" in err or "candidate" in err
+
+
+def test_bad_seed_and_thread_flags_are_rejected_by_name(capsys):
+    import pytest
+
+    for flag, value in (("--threads", "0"), ("--threads", "-2"), ("--seed", "-1"), ("--seed", "x")):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(CONFIGS / "zero_noise_roundtrip.json"), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "config error" not in err

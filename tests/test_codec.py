@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from mwrelay import gf
-from mwrelay.channel import UplinkSpec, identity_downlink
+from mwrelay.channel import DownlinkSpec, UplinkSpec, identity_downlink, sample_downlink
 from mwrelay.codec import (
     BlockCode,
     CapabilityError,
     DownlinkCodebook,
+    _all_vectors,
     allocate_block_lengths,
     block_owner,
     build_v,
     candidate_set,
+    compile_scheme,
     encode_uplink,
     make_block_codes,
     recover_messages,
@@ -24,7 +26,7 @@ from mwrelay.codec import (
 from mwrelay.gf import Field
 from mwrelay.rng import stream
 from mwrelay.schedule import SymbolLengths, build_table, message_ids, reindex_users
-from mwrelay.shuffle import run_shuffle, simplify
+from mwrelay.shuffle import decode_matrix, run_shuffle, simplify
 
 
 def lengths_l3() -> SymbolLengths:
@@ -35,6 +37,95 @@ def built(lengths):
     t = build_table(lengths)
     cols, _ = run_shuffle(simplify(t))
     return t, cols
+
+
+def compiled(field, lengths):
+    t, cols = built(lengths)
+    return t, cols, compile_scheme(field, t, cols)
+
+
+def block_part(t, vec, block):
+    at = t.block_offsets()[block]
+    return vec[at : at + t.lengths.k[block]]
+
+
+# -- reference implementations: the per-column, per-candidate and elimination
+# loops that the compiled scheme replaced, kept as oracles ----------------------
+
+
+def ref_build_v(field, cols, block, messages):
+    """User 1's function vector for a block, one symbol per column."""
+    block_cols = [c for c in cols if c.block == block]
+    out = np.zeros(len(block_cols), dtype=np.int64)
+    for i, col in enumerate(block_cols):
+        acc = 0
+        for ref in col.entries():
+            acc = field.add(acc, int(messages[ref.msg][ref.pos]))
+        out[i] = acc
+    return out
+
+
+def ref_relay_word(field, messages, table, cols):
+    parts = [np.zeros(0, dtype=np.int64)]
+    for b in table.blocks:
+        v = ref_build_v(field, cols, b.msg, messages)
+        parts.append(field.add(np.asarray(messages[b.msg][: b.width]), v))
+    return np.concatenate(parts)
+
+
+def ref_recover_messages(field, a, word, known, table, cols):
+    """Peel the function vectors; users a >= 2 solve their shuffled system."""
+    offsets = table.block_offsets()
+    if a == 1:
+        return {
+            b.msg: field.sub(word[offsets[b.msg] : offsets[b.msg] + b.width],
+                             ref_build_v(field, cols, b.msg, known))
+            for b in table.blocks
+        }
+    system = decode_matrix(cols, a, table)
+    col_value = {}
+    for b in table.blocks:
+        if a in b.star_rows:
+            seg = word[offsets[b.msg] : offsets[b.msg] + b.width]
+            v_theta = field.sub(seg, np.asarray(known[b.msg][: b.width], dtype=np.int64))
+            for i in range(b.width):
+                col_value[offsets[b.msg] + i] = int(v_theta[i])
+    rhs = np.zeros(len(system.col_indices), dtype=np.int64)
+    for r, ci in enumerate(system.col_indices):
+        val = col_value[ci]
+        for ref in system.known_refs[r]:
+            val = field.sub(val, int(known[ref.msg][ref.pos]))
+        rhs[r] = val
+    sol = gf.solve_linear(field, system.matrix, rhs)
+    assert sol.status == "unique"
+    full = dict(known)
+    full[(1,)] = np.zeros(table.lengths.k[(1,)], dtype=np.int64)
+    for j in range(2, table.num_users + 1):
+        if j != a:
+            full[(1, j)] = np.zeros(table.lengths.k[(1, j)], dtype=np.int64)
+    for ref, val in zip(system.unknown_order, sol.x):
+        full[ref.msg][ref.pos] = val
+    out = {}
+    for b in table.blocks:
+        if a not in b.msg:
+            seg = word[offsets[b.msg] : offsets[b.msg] + b.width]
+            out[b.msg] = field.sub(seg, ref_build_v(field, cols, b.msg, full))
+    for m in message_ids(table.num_users):
+        if a not in m and m not in out:
+            out[m] = full[m]
+    return out
+
+
+def ref_user_decode(y_a, codebook, words, w):
+    """One codebook row per candidate; a strictly better score replaces the best."""
+    with np.errstate(divide="ignore"):
+        logw = np.log(w)
+    best_score, best = -np.inf, words[0]
+    for word in words:
+        score = float(logw[codebook.codeword(word), y_a].sum())
+        if score > best_score:
+            best_score, best = score, word
+    return best
 
 
 def random_messages(field, lengths, rng):
@@ -71,28 +162,29 @@ def test_encode_round_trip_with_dither():
 
 def test_build_v_rules():
     field = Field(4)
-    t, cols = built(SymbolLengths(3, {(1,): 1, (2, 3): 1}))
+    t, cols, scheme = compiled(field, SymbolLengths(3, {(1,): 1, (2, 3): 1}))
     msgs = {(1,): np.array([3]), (2, 3): np.array([2]), (2,): np.zeros(0, dtype=np.int64),
             (3,): np.zeros(0, dtype=np.int64), (1, 2): np.zeros(0, dtype=np.int64),
             (1, 3): np.zeros(0, dtype=np.int64)}
     # both starred cells hold W1[0]: a single copy is selected
-    v = build_v(field, cols, (2, 3), msgs)
+    v = block_part(t, build_v(scheme, msgs), (2, 3))
     assert v.tolist() == [3]
+    assert v.tolist() == ref_build_v(field, cols, (2, 3), msgs).tolist()
 
-    t2, cols2 = built(lengths_l3())
+    t2, cols2, scheme2 = compiled(field, lengths_l3())
     msgs2 = {m: np.arange(1, lengths_l3().k[m] + 1, dtype=np.int64) for m in message_ids(3)}
     # the pair block pairs W1_3[0] (row 2) with W1_2[0] (row 3): field sum
-    v2 = build_v(field, cols2, (2, 3), msgs2)
+    v2 = block_part(t2, build_v(scheme2, msgs2), (2, 3))
     expect = field.add(int(msgs2[(1, 3)][0]), int(msgs2[(1, 2)][0]))
     assert v2.tolist() == [expect]
 
 
 def test_build_v_empty_column_is_zero():
     field = Field(2)
-    t, cols = built(SymbolLengths(3, {(2,): 2}))
+    t, cols, scheme = compiled(field, SymbolLengths(3, {(2,): 2}))
     msgs = {m: np.zeros(0, dtype=np.int64) for m in message_ids(3)}
     msgs[(2,)] = np.array([1, 1])
-    assert build_v(field, cols, (2,), msgs).tolist() == [0, 0]
+    assert block_part(t, build_v(scheme, msgs), (2,)).tolist() == [0, 0]
 
 
 def brute_force_sum_decode(field, y0, g, dither_sum, pmf):
@@ -227,23 +319,24 @@ def test_uplink_round_zero_noise_recovers_relay_word():
     for _ in range(20):
         lengths = SymbolLengths(3, {m: int(rng.integers(0, 3)) for m in message_ids(3)})
         _, lengths = reindex_users(lengths)
-        t, cols = built(lengths)
+        t, cols, scheme = compiled(field, lengths)
         if t.total_cols == 0:
             continue
         msgs = random_messages(field, lengths, rng)
         codes, _ = make_block_codes(t, 2 * t.total_cols, field, rng, full_rank=True)
-        est = uplink_round(field, msgs, t, cols, codes, up, rng)
-        assert np.array_equal(est, relay_word(field, msgs, t, cols))
+        est = uplink_round(scheme, msgs, codes, up, rng)
+        assert np.array_equal(est, relay_word(scheme, msgs))
+        assert np.array_equal(est, ref_relay_word(field, msgs, t, cols))
 
 
 def test_uplink_round_l2_single_block():
     field = Field(2)
     up = UplinkSpec(field, np.array([1.0, 0.0]))
     lengths = SymbolLengths(2, {(1,): 1, (2,): 1})
-    t, cols = built(lengths)
+    t, cols, scheme = compiled(field, lengths)
     msgs = {(1,): np.array([1]), (2,): np.array([1]), (1, 2): np.zeros(0, dtype=np.int64)}
     codes, _ = make_block_codes(t, 2, field, stream(8, "l2"), full_rank=True)
-    est = uplink_round(field, msgs, t, cols, codes, up, stream(8, "l2n"))
+    est = uplink_round(scheme, msgs, codes, up, stream(8, "l2n"))
     assert np.array_equal(est, field.add(msgs[(1,)], msgs[(2,)]))
     assert block_owner((2,)) == 2
 
@@ -256,13 +349,14 @@ def test_relay_word_linearity():
         for _ in range(15):
             lengths = SymbolLengths(3, {m: int(rng.integers(0, 3)) for m in message_ids(3)})
             _, lengths = reindex_users(lengths)
-            t, cols = built(lengths)
+            t, cols, scheme = compiled(field, lengths)
             m1 = random_messages(field, lengths, rng)
             m2 = random_messages(field, lengths, rng)
             msum = {k: field.add(m1[k], m2[k]) for k in m1}
-            lhs = relay_word(field, msum, t, cols)
-            rhs = field.add(relay_word(field, m1, t, cols), relay_word(field, m2, t, cols))
+            lhs = ref_relay_word(field, msum, t, cols)
+            rhs = field.add(ref_relay_word(field, m1, t, cols), ref_relay_word(field, m2, t, cols))
             assert np.array_equal(lhs, rhs)
+            assert np.array_equal(relay_word(scheme, msum), lhs)
 
 
 def brute_force_candidates(field, a, known, table, cols):
@@ -278,7 +372,7 @@ def brute_force_candidates(field, a, known, table, cols):
         for m, s in spans:
             msgs[m] = np.array(assign[at : at + s], dtype=np.int64)
             at += s
-        words.add(tuple(relay_word(field, msgs, table, cols).tolist()))
+        words.add(tuple(ref_relay_word(field, msgs, table, cols).tolist()))
     return words
 
 
@@ -289,20 +383,23 @@ def test_candidate_set_matches_brute_force_and_bound():
         for _ in range(10):
             lengths = SymbolLengths(3, {m: int(rng.integers(0, 2)) for m in message_ids(3)})
             _, lengths = reindex_users(lengths)
-            t, cols = built(lengths)
+            t, cols, scheme = compiled(field, lengths)
             msgs = random_messages(field, lengths, rng)
             for a in (1, 2, 3):
                 known = {m: v for m, v in msgs.items() if a in m}
-                cand = candidate_set(field, a, known, t, cols)
+                cand = candidate_set(scheme, a, known)
                 oracle = brute_force_candidates(field, a, known, t, cols)
                 assert {tuple(w.tolist()) for w in cand.words} == oracle
+                # ascending big-endian order, the ML tie-break order
+                assert [tuple(w) for w in cand.words.tolist()] == sorted(oracle)
                 assert cand.words.shape[0] <= field.order ** lengths.k_sum(a)
                 # witnesses reproduce their words
                 for i in range(cand.words.shape[0]):
-                    w = relay_word(field, cand.witnesses[i], t, cols)
+                    witness = {**known, **recover_messages(scheme, a, cand.words[i], known)}
+                    w = ref_relay_word(field, witness, t, cols)
                     assert np.array_equal(w, cand.words[i])
                 # true word is always a candidate
-                truth = relay_word(field, msgs, t, cols)
+                truth = ref_relay_word(field, msgs, t, cols)
                 assert any(np.array_equal(truth, w) for w in cand.words)
 
 
@@ -319,11 +416,11 @@ def test_candidate_set_bound_on_200_random_instances():
         _, lengths = reindex_users(lengths)
         if max(order ** lengths.k_sum(a) for a in range(1, num_users + 1)) > 512:
             continue
-        t, cols = built(lengths)
+        t, cols, scheme = compiled(field, lengths)
         msgs = random_messages(field, lengths, rng)
         a = int(rng.integers(1, num_users + 1))
         known = {m: v for m, v in msgs.items() if a in m}
-        cand = candidate_set(field, a, known, t, cols)
+        cand = candidate_set(scheme, a, known)
         assert cand.words.shape[0] <= order ** lengths.k_sum(a)
         checked += 1
 
@@ -331,11 +428,11 @@ def test_candidate_set_bound_on_200_random_instances():
 def test_candidate_set_user1_injective():
     field = Field(2)
     lengths = lengths_l3()
-    t, cols = built(lengths)
+    t, cols, scheme = compiled(field, lengths)
     rng = stream(8, "inj")
     msgs = random_messages(field, lengths, rng)
     known = {m: v for m, v in msgs.items() if 1 in m}
-    cand = candidate_set(field, 1, known, t, cols)
+    cand = candidate_set(scheme, 1, known)
     assert cand.words.shape[0] == field.order ** lengths.k_sum(1)
 
 
@@ -345,7 +442,7 @@ def test_candidate_set_capability_bound():
     _, lengths = reindex_users(lengths)
     t, cols = built(lengths)
     with pytest.raises(CapabilityError):
-        candidate_set(field, 2, {}, t, cols)
+        compile_scheme(field, t, cols)
 
 
 def test_codebook_lazy_and_deterministic():
@@ -354,22 +451,21 @@ def test_codebook_lazy_and_deterministic():
     u = np.array([1, 0, 1])
     assert np.array_equal(cb1.codeword(u), cb2.codeword(u))
     assert not np.array_equal(cb1.codeword(u), cb1.codeword(np.array([0, 0, 1])))
-    assert len(cb1._cache) == 2
 
 
 def test_user_decode_noiseless_identity():
     field = Field(2)
     lengths = lengths_l3()
-    t, cols = built(lengths)
+    t, cols, scheme = compiled(field, lengths)
     down = identity_downlink(3, 2)
     rng = stream(8, "ud")
     msgs = random_messages(field, lengths, rng)
-    truth = relay_word(field, msgs, t, cols)
+    truth = relay_word(scheme, msgs)
     cb = DownlinkCodebook(np.array([0.5, 0.5]), 64, 3)
     x0 = cb.codeword(truth)
     for a in (1, 2, 3):
         known = {m: v for m, v in msgs.items() if a in m}
-        cand = candidate_set(field, a, known, t, cols)
+        cand = candidate_set(scheme, a, known)
         got = user_decode_word(x0, cb, cand, down, a)
         assert np.array_equal(got, truth)
 
@@ -383,9 +479,9 @@ def test_user_decode_single_candidate():
     cb = DownlinkCodebook(np.array([0.5, 0.5]), 16, 4)
     # user 2 knows W2 and W12; with k1 = 1 there are two candidates, but
     # collapse the unknown by zeroing its length
-    t1, cols1 = built(SymbolLengths(2, {(2,): 1}))
+    t1, cols1, scheme1 = compiled(field, SymbolLengths(2, {(2,): 1}))
     known = {(2,): np.array([1]), (1, 2): np.zeros(0, dtype=np.int64), (1,): np.zeros(0, dtype=np.int64)}
-    cand = candidate_set(field, 2, known, t1, cols1)
+    cand = candidate_set(scheme1, 2, known)
     assert cand.words.shape[0] == 1
     got = user_decode_word(np.zeros(16, dtype=np.int64), cb, cand, down, 2)
     assert np.array_equal(got, cand.words[0])
@@ -401,30 +497,31 @@ def test_recover_messages_round_trip_and_negative_control():
                 num_users, {m: int(rng.integers(0, 3)) for m in message_ids(num_users)}
             )
             _, lengths = reindex_users(lengths)
-            t, cols = built(lengths)
+            t, cols, scheme = compiled(field, lengths)
             msgs = random_messages(field, lengths, rng)
-            truth = relay_word(field, msgs, t, cols)
+            truth = relay_word(scheme, msgs)
             for a in range(1, num_users + 1):
                 known = {m: v for m, v in msgs.items() if a in m}
-                rec = recover_messages(field, a, truth, known, t, cols)
+                rec = recover_messages(scheme, a, truth, known)
                 assert set(rec) == {m for m in message_ids(num_users) if a not in m}
                 for m, v in rec.items():
                     assert np.array_equal(v, msgs[m]), (a, m)
             if t.total_cols:
                 corrupted = truth.copy()
                 corrupted[0] = field.add(int(corrupted[0]), 1)
-                rec = recover_messages(field, 1, corrupted, {m: v for m, v in msgs.items() if 1 in m}, t, cols)
+                known = {m: v for m, v in msgs.items() if 1 in m}
+                rec = recover_messages(scheme, 1, corrupted, known)
                 assert any(not np.array_equal(rec[m], msgs[m]) for m in rec)
 
 
 def test_l2_user2_subtracts_own_message():
     field = Field(2)
     lengths = SymbolLengths(2, {(1,): 2, (2,): 2})
-    t, cols = built(lengths)
+    t, cols, scheme = compiled(field, lengths)
     msgs = {(1,): np.array([1, 0]), (2,): np.array([1, 1]), (1, 2): np.zeros(0, dtype=np.int64)}
-    word = relay_word(field, msgs, t, cols)
+    word = relay_word(scheme, msgs)
     assert np.array_equal(word, field.add(msgs[(1,)], msgs[(2,)]))
-    rec = recover_messages(field, 2, word, {(2,): msgs[(2,)], (1, 2): msgs[(1, 2)]}, t, cols)
+    rec = recover_messages(scheme, 2, word, {(2,): msgs[(2,)], (1, 2): msgs[(1, 2)]})
     assert np.array_equal(rec[(1,)], msgs[(1,)])
 
 
@@ -432,10 +529,98 @@ def test_dither_invariance_of_zero_noise_result():
     field = Field(2)
     up = UplinkSpec(field, np.array([1.0, 0.0]))
     lengths = lengths_l3()
-    t, cols = built(lengths)
+    t, cols, scheme = compiled(field, lengths)
     msgs = random_messages(field, lengths, stream(8, "dm"))
     outs = []
     for seed in (1, 2, 3):
         codes, _ = make_block_codes(t, 2 * t.total_cols, field, stream(seed, "dith"), full_rank=True)
-        outs.append(uplink_round(field, msgs, t, cols, codes, up, stream(seed, "n")))
+        outs.append(uplink_round(scheme, msgs, codes, up, stream(seed, "n")))
     assert all(np.array_equal(o, outs[0]) for o in outs)
+
+
+def bsc_downlink(num_users, q):
+    w = np.array([[1 - q, q], [q, 1 - q]])
+    return DownlinkSpec(2, (w,) * num_users)
+
+
+def test_compiled_path_matches_reference_loops_on_bsc_downlinks():
+    # Same codebook rows, noisy downlinks: the stacked gather-sum decoder and
+    # the witness lookup agree with the per-candidate loop and elimination.
+    for order in (2, 3, 4):
+        field = Field(order)
+        rng = stream(8, "compiled-vs-reference", order)
+        wrong = checked = 0
+        while checked < 60:
+            num_users = int(rng.integers(2, 5))
+            lengths = SymbolLengths(
+                num_users, {m: int(rng.integers(0, 3)) for m in message_ids(num_users)}
+            )
+            _, lengths = reindex_users(lengths)
+            if max(order ** lengths.k_sum(a) for a in range(1, num_users + 1)) > 256:
+                continue
+            t, cols, scheme = compiled(field, lengths)
+            msgs = random_messages(field, lengths, rng)
+            truth = ref_relay_word(field, msgs, t, cols)
+            assert np.array_equal(relay_word(scheme, msgs), truth)
+            cb = DownlinkCodebook(np.array([0.5, 0.5]), 6, int(rng.integers(0, 2**62)))
+            down = bsc_downlink(num_users, 0.2)
+            x0 = cb.codeword(truth)
+            for a in range(1, num_users + 1):
+                known = {m: v for m, v in msgs.items() if a in m}
+                cand = candidate_set(scheme, a, known)
+                y = sample_downlink(down, a, x0, rng)
+                got = user_decode_word(y, cb, cand, down, a)
+                assert np.array_equal(got, ref_user_decode(y, cb, cand.words, down.channel(a)))
+                rec = recover_messages(scheme, a, got, known)
+                ref = ref_recover_messages(field, a, got, known, t, cols)
+                assert set(rec) == set(ref)
+                for m in rec:
+                    assert np.array_equal(rec[m], ref[m]), (order, a, m)
+                wrong += not np.array_equal(got, truth)
+                checked += 1
+        assert wrong > 0  # the downlink is noisy enough to exercise wrong decodes
+
+
+def test_codeword_stack_matches_single_rows():
+    cb = DownlinkCodebook(np.array([0.25, 0.25, 0.5]), 40, 17)
+    words = _all_vectors(3, 3)
+    rows = cb.codeword(words)
+    assert rows.shape == (27, 40)
+    for i, w in enumerate(words):
+        assert np.array_equal(rows[i], cb.codeword(w))
+    # distinct words, distinct rows; another seed, another codebook
+    assert len({r.tobytes() for r in rows}) == 27
+    other = DownlinkCodebook(np.array([0.25, 0.25, 0.5]), 40, 18).codeword(words)
+    assert not np.array_equal(rows, other)
+    assert cb.codeword(np.zeros(0, dtype=np.int64)).shape == (40,)
+
+
+def test_codeword_symbol_frequencies_follow_a_nonuniform_input_dist():
+    dist = np.array([0.55, 0.3, 0.0, 0.15])
+    cb = DownlinkCodebook(dist, 400, 5)
+    rows = cb.codeword(_all_vectors(2, 8))
+    counts = np.bincount(rows.ravel(), minlength=4)
+    total = rows.size
+    assert counts[2] == 0  # a zero-probability symbol is never drawn
+    for x in (0, 1, 3):
+        sigma = np.sqrt(total * dist[x] * (1 - dist[x]))
+        assert abs(counts[x] - total * dist[x]) < 4 * sigma, (x, counts)
+    # per position too: each column is its own counter
+    col0 = np.bincount(rows[:, 0], minlength=4) / rows.shape[0]
+    assert np.all(np.abs(col0 - dist) < 0.15)
+
+
+def test_shared_arrays_are_read_only():
+    field = Field(3)
+    _, _, scheme = compiled(field, lengths_l3())
+    shared = [_all_vectors(3, 2), scheme.relay, scheme.func]
+    for user in scheme.users:
+        shared += [user.image, user.keys, user.witnesses, user.r_known]
+    for arr in shared:
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
+    # callers get copies they may write
+    msgs = random_messages(field, lengths_l3(), stream(8, "ro"))
+    known = {m: v for m, v in msgs.items() if 2 in m}
+    rec = recover_messages(scheme, 2, relay_word(scheme, msgs), known)
+    rec[(1,)][0] = 0

@@ -202,9 +202,41 @@ def test_digit_expansion_consistency():
         rng = stream(31, "expand", order)
         a = random_matrix(f, 3, 5, rng)
         u = random_matrix(f, 10, 3, rng)
-        direct = np.stack([mat_mul(f, row, a) for row in u])
+        direct = np.stack([ref_mat_mul(f, row, a) for row in u])
         digits = (f.digit_rows(u).astype(np.int64) @ f.expand_matrix(a)) % f.p
         assert np.array_equal(f.rows_from_digits(digits), direct)
+        assert np.array_equal(mat_mul(f, u, a), direct)
+
+
+def ref_mat_mul(field, u, g):
+    """Row loop over the field's own add and mul, kept as an oracle."""
+    out = np.zeros(g.shape[1], dtype=np.int64)
+    for i in range(u.shape[0]):
+        if u[i]:
+            out = field.add(out, field.mul(int(u[i]), g[i]))
+    return out
+
+
+def test_mat_mul_matches_row_loop_for_vectors_and_stacks():
+    for order in SMALL_FIELDS:
+        f = Field(order)
+        rng = stream(31, "matmul", order)
+        for k, n in ((0, 3), (1, 1), (4, 6), (7, 2)):
+            g = random_matrix(f, k, n, rng)
+            u = random_matrix(f, 5, k, rng)
+            want = np.stack([ref_mat_mul(f, row, g) for row in u])
+            assert np.array_equal(mat_mul(f, u, g), want)
+            assert np.array_equal(mat_mul(f, u[2], g), want[2])
+
+
+def test_mat_mul_float64_path_is_exact():
+    # 300 * 250^2 exceeds 2^24, so the product runs in float64
+    f = Field(251)
+    rng = stream(31, "matmul-wide")
+    g = random_matrix(f, 300, 4, rng)
+    u = random_matrix(f, 3, 300, rng)
+    want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % 251 for col in g.T] for row in u]
+    assert mat_mul(f, u, g).tolist() == want
 
 
 def test_json_round_trip():

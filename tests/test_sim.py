@@ -76,6 +76,18 @@ def test_wilson_interval_basics():
     assert st.lo95 <= st.p_hat <= st.hi95
 
 
+def test_wilson_interval_endpoints_are_exact():
+    for n in (1, 7, 50, 100, 12345):
+        lo, hi = wilson_interval(0, n)
+        assert lo == 0.0 and 0.0 < hi < 1.0
+        lo, hi = wilson_interval(n, n)
+        assert hi == 1.0 and 0.0 < lo < 1.0
+        st = ErrorStats.from_counts(0, n)
+        assert st.lo95 <= st.p_hat <= st.hi95
+        st = ErrorStats.from_counts(n, n)
+        assert st.lo95 <= st.p_hat <= st.hi95
+
+
 def test_wilson_coverage_on_synthetic_bernoulli():
     p = 0.1
     n = 200
@@ -154,6 +166,7 @@ def test_downlink_errors_shrink_with_codeword_length():
     lengths = SymbolLengths(2, {(1,): 3, (2,): 3})
     table = build_table(lengths)
     cols, _ = run_shuffle(simplify(table))
+    scheme = codec.compile_scheme(field, table, cols)
     q = 0.1
     down = DownlinkSpec(2, (onp.array([[1 - q, q], [q, 1 - q]]),) * 2)
     errors = {}
@@ -162,11 +175,11 @@ def test_downlink_errors_shrink_with_codeword_length():
         for t in range(150):
             rng = stream(12, "dltrend", n_dl, t)
             msgs = {m: gflib.random_vec(field, lengths.k[m], rng) for m in lengths.k}
-            truth = codec.relay_word(field, msgs, table, cols)
+            truth = codec.relay_word(scheme, msgs)
             cb = codec.DownlinkCodebook(onp.array([0.5, 0.5]), n_dl, int(rng.integers(0, 2**62)))
             x0 = cb.codeword(truth)
             known = {m: v for m, v in msgs.items() if 2 in m}
-            cands = codec.candidate_set(field, 2, known, table, cols)
+            cands = codec.candidate_set(scheme, 2, known)
             y = sample_downlink(down, 2, x0, stream(12, "dlnoise", n_dl, t))
             got = codec.user_decode_word(y, cb, cands, down, 2)
             wrong += not onp.array_equal(got, truth)
