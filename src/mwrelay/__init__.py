@@ -3,13 +3,10 @@ channels with private and pairwise common messages."""
 
 from .capacity import (
     RateTuple,
-    check_achievable,
-    check_outer,
     fdfp_feasible,
     max_min_downlink,
     region_report,
     region_slice,
-    sum_rate,
 )
 from .channel import (
     DownlinkSpec,

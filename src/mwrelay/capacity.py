@@ -2,18 +2,17 @@
 
 Covers rate tuples with private and pairwise common messages, the
 per-user sum rates, membership tests against the inner (achievable) and
-outer (cut-set) regions, the concave max-min input-distribution
-optimizer for the downlink, and the exact-rational feasibility check
+outer (cut-set) regions, the downlink max-min optimizer with a
+certified upper bound, and the exact-rational feasibility check
 for the baseline scheme that splits each common message into two
 private parts (with Farkas-style infeasibility certificates).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property
 
 import numpy as np
 
@@ -75,13 +74,19 @@ class RateTuple:
         """Total rate of everything user ``a`` must decode."""
         if not 1 <= a <= self.num_users:
             raise ValueError(f"no such user {a}")
-        return sum(
-            (r for key, r in self.rates.items() if a not in key),
-            Fraction(0),
-        )
+        return self._sum_rates[a - 1]
 
     def sum_rates(self) -> list[Fraction]:
-        return [self.sum_rate(a) for a in range(1, self.num_users + 1)]
+        return list(self._sum_rates)
+
+    @cached_property
+    def _sum_rates(self) -> tuple[Fraction, ...]:
+        # Computed once per tuple: the split LP reads them for every cap
+        # row, and every region report of the tuple shares them.
+        return tuple(
+            sum((r for key, r in self.rates.items() if a not in key), Fraction(0))
+            for a in range(1, self.num_users + 1)
+        )
 
     def scaled(self, factor) -> "RateTuple":
         f = Fraction(factor)
@@ -104,134 +109,91 @@ class RateTuple:
         return f"RateTuple({self.num_users}, {{{body}}})"
 
 
-def sum_rate(rates: RateTuple, a: int) -> Fraction:
-    return rates.sum_rate(a)
-
-
 # -- downlink max-min optimizer --------------------------------------------------
 
-
-def _simplex_grid(dim: int, steps: int) -> np.ndarray:
-    """All distributions with probabilities that are multiples of 1/steps."""
-    grid = []
-    for comp in itertools.combinations(range(steps + dim - 1), dim - 1):
-        parts = []
-        prev = -1
-        for c in comp:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(steps + dim - 2 - prev)
-        grid.append(parts)
-    return np.asarray(grid, dtype=np.float64) / steps
+#: Stop once the certified upper bound is within this of the lower bound.
+GAP_TOL = 1e-10
+#: Iteration cap; a run that reaches it returns its bounds with a wider gap.
+MAX_ITERS = 100_000
+#: Multiplicative-weights step of the user weights, per bit of margin.
+_WEIGHT_STEP = 16.0
+#: Least user weight.  A weight that underflowed to 0 could never grow
+#: back once its user became the binding one.
+_WEIGHT_FLOOR = 1e-12
+_TINY = np.finfo(np.float64).tiny
 
 
-def max_min_downlink(
-    down: DownlinkSpec,
-    sum_rates,
-    *,
-    grid_steps: int = 32,
-    gap_tol: float = 1e-7,
-    max_iters: int = 10_000,
-) -> tuple[float, np.ndarray]:
-    """Maximize min_a (I(X0;Y_a) - sum_rate_a) over input distributions.
+def max_min_downlink(down: DownlinkSpec, sum_rates) -> tuple[float, float, np.ndarray]:
+    """Bounds on max_p min_a (I(X0;Y_a) - sum_rate_a) over input distributions.
 
-    The objective is concave (a minimum of concave functions), so a
-    coarse simplex grid followed by Frank-Wolfe refinement with exact
-    line search finds the global optimum; the Frank-Wolfe gap bounds the
-    remaining suboptimality, so stopping at ``gap_tol`` certifies the
-    returned margin to that accuracy.
+    Returns ``(lower, upper, p)``: ``lower`` is the objective at the input
+    distribution ``p``, and ``upper`` is a certified bound on the maximum.
+
+    With q_a = p W_a and D[a, x] = D(W_a(x) || q_a) in bits, I(X0;Y_a) =
+    sum_x p_x D[a, x].  Since I(p'; W) <= max_x D(W(x) || q) for every p'
+    and every q, max_x sum_a lam_a (D[a, x] - s_a) bounds the maximum for
+    every weight vector lam in the simplex; ``upper`` is the least such
+    value over the iterates, taken at the current weights and at each
+    single user.  The weights move by multiplicative weights toward the
+    users with the smallest margin, and p by the lam-weighted
+    Blahut-Arimoto update p <- p 2^(lam . D) (Blahut 1972; Arimoto 1972).
+    The loop stops when upper - lower <= ``GAP_TOL`` or after
+    ``MAX_ITERS`` iterations.
     """
-    srs = [float(s) for s in sum_rates]
-    if len(srs) != down.num_users:
+    srs = np.array([float(s) for s in sum_rates])
+    if srs.size != down.num_users:
         raise ValueError("one sum rate per user required")
-    dim = down.input_size
-
-    def value(p: np.ndarray) -> float:
-        return min(
-            mutual_info(p, down.channel(a + 1)) - srs[a] for a in range(down.num_users)
-        )
-
-    steps = grid_steps
-    # Keep the coarse stage bounded for larger input alphabets.
-    while steps > 1 and _grid_size(dim, steps) > 200_000:
-        steps //= 2
-    candidates = _simplex_grid(dim, steps)
-    uniform = np.full(dim, 1.0 / dim)
-    best_p = uniform
-    best_v = value(uniform)
-    for p in candidates:
-        v = value(p)
-        if v > best_v:
-            best_v = v
-            best_p = p
-
-    p = best_p.copy()
-    stall = 0
-    for _ in range(max_iters):
-        grad = _active_gradient(down, srs, p)
-        j = int(np.argmax(grad))
-        gap = float(grad[j] - grad @ p)
-        if gap < gap_tol:
-            break
-        direction = -p.copy()
-        direction[j] += 1.0
-        gamma = _line_search(value, p, direction)
-        p = p + gamma * direction
-        p = np.clip(p, 0.0, None)
-        p /= p.sum()
-        v = value(p)
-        if v > best_v + 1e-15:
-            best_v = v
-            best_p = p.copy()
-            stall = 0
-        else:
-            stall += 1
-            if stall > 200:
-                break
-    return best_v, best_p
-
-
-def _grid_size(dim: int, steps: int) -> int:
-    return comb(steps + dim - 1, dim - 1)
-
-
-def _active_gradient(down: DownlinkSpec, srs, p: np.ndarray) -> np.ndarray:
-    """Supergradient of the min: gradient of the user attaining it."""
-    vals = [mutual_info(p, down.channel(a + 1)) - srs[a] for a in range(down.num_users)]
-    a = int(np.argmin(vals))
-    w = down.channel(a + 1)
-    q = p @ w
-    grad = np.zeros(p.size)
+    # All users' channels stacked, outputs padded with zero columns.
+    w = np.zeros((down.num_users, down.input_size, max(c.shape[1] for c in down.user_channels)))
+    for a, c in enumerate(down.user_channels):
+        w[a, :, : c.shape[1]] = c
     with np.errstate(divide="ignore", invalid="ignore"):
-        for x in range(p.size):
-            row = w[x]
-            nz = row > 0
-            grad[x] = float((row[nz] * np.log2(row[nz] / q[nz])).sum()) - np.log2(np.e)
-    return grad
+        neg_entropy = np.where(w > 0, w * np.log2(w), 0.0).sum(axis=2)
+    offset = neg_entropy - srs[:, None]
 
-
-def _line_search(value, p: np.ndarray, direction: np.ndarray) -> float:
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-12:
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if value(p + m1 * direction) < value(p + m2 * direction):
-            lo = m1
-        else:
-            hi = m2
-    return 0.5 * (lo + hi)
+    p = np.full(down.input_size, 1.0 / down.input_size)
+    lam = np.full(down.num_users, 1.0 / down.num_users)
+    lower, upper, best = -np.inf, np.inf, p
+    for _ in range(MAX_ITERS):
+        # Flooring q keeps D finite.  The upper bound holds for any output
+        # distribution q (the floor adds under 1e-300 of mass), and
+        # raising q can only lower the lower one.
+        log_q = np.log2(np.maximum(p @ w, _TINY))
+        d = offset - (w @ log_q[:, :, None])[:, :, 0]  # D[a, x] - s_a
+        margins = d @ p
+        worst = margins.min()
+        if worst > lower:
+            lower, best = worst, p
+        lam = lam * np.exp2(_WEIGHT_STEP * (worst - margins))
+        lam = np.maximum(lam / lam.sum(), _WEIGHT_FLOOR)
+        lam /= lam.sum()
+        z = lam @ d
+        z_max = z.max()
+        upper = min(upper, float(z_max), float(d.max(axis=1).min()))
+        if upper - lower <= GAP_TOL:
+            break
+        p = p * np.exp2(z - z_max)
+        p /= p.sum()
+    # Report the objective itself at the returned distribution.
+    lower = min(mutual_info(best, c) - s for c, s in zip(down.user_channels, srs))
+    return float(lower), upper, best
 
 
 # -- region membership -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class RegionReport:
-    """Everything the inner and outer tests look at, in one place."""
+    """Everything the inner and outer tests look at, in one place.
 
-    sum_rates: list[Fraction]
+    ``margin`` is the downlink max-min value attained at ``argmax_dist``
+    and ``upper`` a certified bound on it; the optimum lies between them.
+    """
+
+    sum_rates: tuple[Fraction, ...]
     uplink_bound: float
     margin: float
+    upper: float
     argmax_dist: np.ndarray
     achievable: bool
     inside_outer: bool
@@ -248,27 +210,23 @@ class RegionEvaluator:
         self.bound = uplink_bound(up)
 
     def report(self, rates: RateTuple) -> RegionReport:
+        """Verdicts that hold for the true optimum, not only for the iterate.
+
+        Achievable needs the attained margin above the tolerance; outside
+        needs the certified upper bound below minus the tolerance.  A
+        tuple that is neither achievable nor outside is undetermined.
+        """
         if rates.num_users != self.down.num_users:
             raise ValueError("rate tuple and downlink disagree on the user count")
-        srs = rates.sum_rates()
-        margin, dist = max_min_downlink(self.down, srs)
-        ach = bool(all(s < self.bound for s in srs) and margin > MARGIN_TOL)
-        outer = bool(all(s <= self.bound for s in srs) and margin >= -MARGIN_TOL)
-        return RegionReport(srs, self.bound, margin, dist, ach, outer)
+        srs = rates._sum_rates
+        lower, upper, dist = max_min_downlink(self.down, srs)
+        ach = bool(all(s < self.bound for s in srs) and lower > MARGIN_TOL)
+        outer = bool(all(s <= self.bound for s in srs) and upper >= -MARGIN_TOL)
+        return RegionReport(srs, self.bound, lower, upper, dist, ach, outer)
 
 
 def region_report(rates: RateTuple, up: UplinkSpec, down: DownlinkSpec) -> RegionReport:
     return RegionEvaluator(up, down).report(rates)
-
-
-def check_achievable(rates: RateTuple, up: UplinkSpec, down: DownlinkSpec) -> bool:
-    """True when the tuple is strictly inside the achievable region."""
-    return region_report(rates, up, down).achievable
-
-
-def check_outer(rates: RateTuple, up: UplinkSpec, down: DownlinkSpec) -> bool:
-    """True when the tuple satisfies the cut-set outer bound (non-strict)."""
-    return region_report(rates, up, down).inside_outer
 
 
 # -- baseline feasibility (common messages split into private parts) -------------

@@ -61,6 +61,14 @@ def _fraction(value, where: str) -> Fraction:
     raise ConfigError(f"cannot parse number {value!r} in {where}")
 
 
+def _integer(value, where: str) -> int:
+    """An integer config value; bools and non-integral numbers are refused."""
+    number = None if isinstance(value, bool) else _fraction(value, where)
+    if number is None or number.denominator != 1:
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _probability_list(values, where: str) -> np.ndarray:
     fracs = [_fraction(v, where) for v in values]
     total = sum(fracs, Fraction(0))
@@ -72,7 +80,7 @@ def _probability_list(values, where: str) -> np.ndarray:
 def parse_field(obj: dict) -> Field:
     _require_keys(obj, {"order", "reduction_poly"}, "field")
     try:
-        return Field(int(obj["order"]), obj.get("reduction_poly"))
+        return Field(_integer(obj["order"], "field.order"), obj.get("reduction_poly"))
     except ValueError as exc:
         raise ConfigError(f"bad field spec: {exc}") from exc
 
@@ -96,7 +104,7 @@ def parse_channel(obj: dict) -> tuple[UplinkSpec, DownlinkSpec]:
         rows = [_probability_list(row, f"downlink user {i}") for row in u["matrix"]]
         users.append(np.stack(rows))
     try:
-        down = DownlinkSpec(int(dl["input_size"]), tuple(users))
+        down = DownlinkSpec(_integer(dl["input_size"], "downlink.input_size"), tuple(users))
         up = UplinkSpec(field, noise)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -128,9 +136,9 @@ def parse_lengths(obj: dict) -> SymbolLengths:
     k = {}
     for key, val in obj["k"].items():
         parts = key.replace(" ", "").split(",")
-        k[tuple(int(p) for p in parts)] = int(val)
+        k[tuple(int(p) for p in parts)] = _integer(val, f"lengths.k[{key!r}]")
     try:
-        return SymbolLengths(int(obj["num_users"]), k)
+        return SymbolLengths(_integer(obj["num_users"], "lengths.num_users"), k)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -166,6 +174,7 @@ def cmd_region_check(cfg: dict, args) -> int:
         lines.append(f"sum rate user {a}: {s} = {float(s):.6f} bits/use")
     lines.append(f"uplink bound: {rep.uplink_bound:.6f} bits/use")
     lines.append(f"downlink margin: {rep.margin:.6f} at p(x0) = {np.round(rep.argmax_dist, 6).tolist()}")
+    lines.append(f"downlink margin upper bound: {rep.upper:.6f}")
     lines.append(f"inner verdict: {'Achievable' if rep.achievable else 'NotShown'}")
     lines.append(f"outer verdict: {'InsideOrBoundary' if rep.inside_outer else 'Outside'}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -177,7 +186,7 @@ def _default_caps(up: UplinkSpec, down: DownlinkSpec) -> list[Fraction]:
     bound = capacity.uplink_bound(up)
     caps = []
     for a in range(1, down.num_users + 1):
-        best, _ = capacity.max_min_downlink(
+        best, _, _ = capacity.max_min_downlink(
             DownlinkSpec(down.input_size, (down.channel(a),)), [0.0]
         )
         caps.append(Fraction(min(bound, best)))
@@ -271,9 +280,9 @@ def cmd_simulate(cfg: dict, args) -> int:
         trial_cfg = sim.TrialConfig(
             up,
             down,
-            n=int(cfg.get("n", 0)),
-            n_dl=int(cfg.get("n_dl", 0)),
-            trials=int(cfg.get("trials", 0)),
+            n=_integer(cfg.get("n", 0), "n"),
+            n_dl=_integer(cfg.get("n_dl", 0), "n_dl"),
+            trials=_integer(cfg.get("trials", 0), "trials"),
             master_seed=args.seed,
             rates=rates,
             lengths=lengths,
@@ -288,10 +297,13 @@ def cmd_simulate(cfg: dict, args) -> int:
     sweep_cfg = cfg.get("sweep")
     if sweep_cfg:
         _require_keys(sweep_cfg, {"axis", "values"}, "sweep")
+        values = sweep_cfg["values"]
+        if sweep_cfg["axis"] == "n":
+            values = [_integer(v, "sweep.values") for v in values]
         rows = sim.sweep(
             trial_cfg,
             sweep_cfg["axis"],
-            sweep_cfg["values"],
+            values,
             threads=args.threads,
             progress=lambda line: print(line, file=sys.stderr),
         )

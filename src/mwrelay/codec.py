@@ -27,9 +27,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf
-from .channel import DownlinkSpec, UplinkSpec, sample_uplink_noise, uplink_bound, validate_pmf
+from .channel import DownlinkSpec, UplinkSpec, sample_uplink_noise, validate_pmf
 from .gf import Field
-from .rng import stream
+from .rng import stream  # noqa: F401  (bench/tracing.py wraps codec.stream)
 from .schedule import MessageTable, MsgId, message_ids
 from .shuffle import SimplifiedColumn
 
@@ -109,25 +109,6 @@ def make_block_codes(
         }
         codes[b.msg] = BlockCode(k, nb, g, dithers)
     return codes, redraws
-
-
-def check_block_rates(codes: dict[MsgId, BlockCode], up: UplinkSpec) -> None:
-    """Verify every block's rate sits below the uplink ceiling.
-
-    Callers wanting the reliable-decoding regime invoke this before an
-    uplink round; stress experiments deliberately skip it.
-    """
-    log2f = np.log2(up.field.order)
-    ceiling = uplink_bound(up)
-    for msg, code in codes.items():
-        if code.k == 0:
-            continue
-        rate = code.k * log2f / code.n
-        if rate >= ceiling:
-            raise ValueError(
-                f"block {msg}: rate {rate:.4f} bits/use is not below the"
-                f" uplink bound {ceiling:.4f}"
-            )
 
 
 def encode_uplink(u: np.ndarray, code: BlockCode, transmitter: int, field: Field) -> np.ndarray:
@@ -369,20 +350,19 @@ class DownlinkCodebook:
     """Random codebook over the relay input alphabet, computed on demand.
 
     Entry ``u`` (a relay word) is an i.i.d. draw from the input
-    distribution, deterministic in (seed, u).  A counter-based hash
-    derives it (Salmon et al., SC'11).  The codebook key is drawn once
-    from the seed's stream.  A word's digits are absorbed as a sum of
+    distribution, deterministic in (key, u), where ``key`` is a 64-bit
+    integer used as given.  A counter-based hash derives it (Salmon et
+    al., SC'11).  A word's digits are absorbed as a sum of
     per-position odd multipliers, each a SplitMix64 output of the key and
     the position, and mixed into the word's seed; position t of the
     codeword is output t + 1 of the SplitMix64 sequence from that seed.
     Words that differ in one position never share a seed.
     """
 
-    def __init__(self, input_dist: np.ndarray, n_dl: int, seed: int):
+    def __init__(self, input_dist: np.ndarray, n_dl: int, key: int):
         self.input_dist = validate_pmf(np.asarray(input_dist, dtype=np.float64))
         self.n_dl = int(n_dl)
-        self.seed = int(seed)
-        self._key = stream(self.seed, "downlink-codebook").integers(0, 2**64, dtype=np.uint64)
+        self.key = np.uint64(key)
         self._counters = _GAMMA * np.arange(1, self.n_dl + 1, dtype=np.uint64)
         self._cdf = np.cumsum(self.input_dist)
         self._last = int(np.nonzero(self.input_dist)[0][-1])
@@ -392,8 +372,8 @@ class DownlinkCodebook:
         u = np.asarray(u, dtype=np.int64)
         words = np.atleast_2d(u).astype(np.uint64)
         positions = np.arange(1, words.shape[1] + 1, dtype=np.uint64)
-        multipliers = _splitmix(self._key + _GAMMA * positions) | np.uint64(1)
-        seeds = _splitmix(self._key + (words + np.uint64(1)) @ multipliers)
+        multipliers = _splitmix(self.key + _GAMMA * positions) | np.uint64(1)
+        seeds = _splitmix(self.key + (words + np.uint64(1)) @ multipliers)
         draws = (_splitmix(seeds[:, None] + self._counters) >> np.uint64(11)) * 2.0**-53
         rows = np.minimum(np.searchsorted(self._cdf, draws), self._last)
         return rows[0] if u.ndim == 1 else rows

@@ -118,9 +118,8 @@ def _run_trial(
         scheme, messages, codes, cfg.up, stream(cfg.master_seed, "uplink-noise", t)
     )
 
-    codebook = codec.DownlinkCodebook(
-        cfg.input_dist, cfg.n_dl, stream(cfg.master_seed, "codebook", t).integers(0, 2**62)
-    )
+    key = stream(cfg.master_seed, "codebook", t).integers(0, 2**64, dtype=np.uint64)
+    codebook = codec.DownlinkCodebook(cfg.input_dist, cfg.n_dl, key)
     x0 = codebook.codeword(word_hat)
 
     for a in range(1, num_users + 1):

@@ -80,7 +80,7 @@ def test_criterion_2_optimizer_golden_values():
     try:
         for q in (0.1, 0.25):
             w = np.array([[1 - q, q], [q, 1 - q]])
-            margin, dist = max_min_downlink(DownlinkSpec(2, (w,)), [0.0])
+            margin, _, dist = max_min_downlink(DownlinkSpec(2, (w,)), [0.0])
             golden = 1 + q * math.log2(q) + (1 - q) * math.log2(1 - q)
             assert abs(margin - golden) <= 1e-6, f"q={q}: {margin} vs {golden}"
             tv = 0.5 * float(np.abs(dist - 0.5).sum())

@@ -1,20 +1,21 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mwrelay.capacity import (
+    GAP_TOL,
+    MARGIN_TOL,
     RateTuple,
     RegionEvaluator,
-    check_achievable,
-    check_outer,
     fdfp_feasible,
     max_min_downlink,
     region_report,
     region_slice,
 )
-from mwrelay.channel import DownlinkSpec, UplinkSpec, identity_downlink, uplink_bound
+from mwrelay.channel import DownlinkSpec, UplinkSpec, identity_downlink, mutual_info, uplink_bound
 from mwrelay.gf import Field
 from mwrelay.rng import stream
 
@@ -59,7 +60,7 @@ def test_rate_tuple_validation():
 
 def test_max_min_noiseless_binary():
     _, down = counterexample_channel()
-    margin, dist = max_min_downlink(down, [0, 0, 0])
+    margin, _, dist = max_min_downlink(down, [0, 0, 0])
     assert margin == pytest.approx(1.0, abs=1e-9)
     assert np.allclose(dist, [0.5, 0.5], atol=1e-6)
 
@@ -67,15 +68,140 @@ def test_max_min_noiseless_binary():
 def test_max_min_bsc_capacity():
     for q in (0.1, 0.25):
         bsc = DownlinkSpec(2, (np.array([[1 - q, q], [q, 1 - q]]),))
-        margin, dist = max_min_downlink(bsc, [0.0])
+        margin, _, dist = max_min_downlink(bsc, [0.0])
         assert margin == pytest.approx(1 - h2(q), abs=1e-6)
         assert 0.5 * np.abs(dist - 0.5).sum() <= 1e-3
 
 
 def test_max_min_negative_when_rates_exceed_output():
     _, down = counterexample_channel()
-    margin, _ = max_min_downlink(down, [2.0, 2.0, 2.0])
+    margin, _, _ = max_min_downlink(down, [2.0, 2.0, 2.0])
     assert margin < 0
+
+
+def dirichlet_downlinks():
+    """Three 3-user downlinks, |X| = 3, 4, 6, with Dirichlet(1) rows."""
+    rng = np.random.default_rng(0)
+    return [
+        DownlinkSpec(x, tuple(rng.dirichlet(np.ones(x), size=x) for _ in range(3)))
+        for x in (3, 4, 6)
+    ]
+
+
+def objective(down, p, srs):
+    return min(mutual_info(p, down.channel(a + 1)) - s for a, s in enumerate(srs))
+
+
+def random_downlinks(label, count):
+    """Seeded 2-6-input, 1-4-user downlinks with per-user output sizes."""
+    rng = stream(13, label)
+    for _ in range(count):
+        inputs, users = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        chans = tuple(
+            rng.dirichlet(np.full(int(rng.integers(2, 7)), rng.choice([0.3, 1.0, 3.0])), size=inputs)
+            for _ in range(users)
+        )
+        yield DownlinkSpec(inputs, chans), rng.random(users) * 0.4, rng
+
+
+def test_gap_tolerance_is_below_the_verdict_tolerance():
+    assert GAP_TOL < MARGIN_TOL
+
+
+# Margins the former grid + Frank-Wolfe optimizer returned on the first two
+# downlinks (the third it solved); both lie about 2.5e-4 and 4.1e-4 below
+# the optimum.
+@pytest.mark.parametrize("index, old_margin", [(0, 0.231840), (1, 0.068170), (2, 0.1766540924)])
+def test_max_min_certifies_generic_downlinks(index, old_margin):
+    down = dirichlet_downlinks()[index]
+    srs = [0.1, 0.2, 0.1]
+    start = time.perf_counter()
+    lower, upper, p = max_min_downlink(down, srs)
+    assert time.perf_counter() - start < 2.0
+    assert -1e-12 <= upper - lower <= 1e-9
+    assert lower == pytest.approx(objective(down, p, srs), abs=1e-12)
+    if index < 2:
+        assert lower >= old_margin + 2e-4
+    else:
+        assert lower >= old_margin - 1e-9
+
+
+def test_max_min_upper_bounds_the_objective_at_random_inputs():
+    for down, srs, rng in random_downlinks("maxmin-upper", 12):
+        lower, upper, p = max_min_downlink(down, srs)
+        assert -1e-12 <= upper - lower <= 1e-9
+        assert lower == pytest.approx(objective(down, p, srs), abs=1e-12)
+        for q in rng.dirichlet(np.ones(down.input_size), size=200):
+            assert objective(down, q, srs) <= upper
+
+
+def slsqp_max_min(down, srs, rng, starts=8):
+    """Best min_a (I_a - s_a) over SLSQP runs of the epigraph problem."""
+    from scipy.optimize import minimize
+
+    size = down.input_size
+
+    def info_grad(v, w):
+        p = np.clip(v, 1e-300, None)
+        q = p @ w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(w > 0, w * np.log2(w / q), 0.0).sum(axis=1)
+        return d - 1 / math.log(2)
+
+    def simplex(v):
+        p = np.clip(v, 0, None)
+        return p / p.sum()
+
+    cons = [{"type": "eq", "fun": lambda v: v[:-1].sum() - 1}]
+    for w, s in zip(down.user_channels, srs):
+        cons.append({
+            "type": "ineq",
+            "fun": lambda v, w=w, s=s: mutual_info(simplex(v[:-1]), w) - s - v[-1],
+            "jac": lambda v, w=w: np.r_[info_grad(v[:-1], w), -1.0],
+        })
+    best = -np.inf
+    for _ in range(starts):
+        p0 = rng.dirichlet(np.ones(size))
+        res = minimize(
+            lambda v: -v[-1],
+            np.r_[p0, objective(down, p0, srs)],
+            jac=lambda v: np.r_[np.zeros(size), -1.0],
+            bounds=[(0, 1)] * size + [(None, None)],
+            constraints=cons,
+            method="SLSQP",
+            options={"ftol": 1e-15, "maxiter": 500},
+        )
+        best = max(best, objective(down, simplex(res.x[:-1]), srs))
+    return best
+
+
+def test_max_min_brackets_an_slsqp_multistart():
+    pytest.importorskip("scipy")
+    cases = [(d, [0.1, 0.2, 0.1], stream(13, "slsqp", i)) for i, d in enumerate(dirichlet_downlinks())]
+    cases += list(random_downlinks("maxmin-slsqp", 8))
+    for down, srs, rng in cases:
+        lower, upper, _ = max_min_downlink(down, srs)
+        value = slsqp_max_min(down, srs, rng)
+        assert lower - 1e-9 <= value <= upper + 1e-9
+
+
+def test_outer_verdict_follows_the_upper_bound(monkeypatch):
+    # Sum rates that put the optimum margin at 0 on a generic downlink.
+    down = dirichlet_downlinks()[1]
+    value, _, _ = max_min_downlink(down, [0.1, 0.2, 0.1])
+    s1, s2, s3 = (Fraction(x + value) for x in (0.1, 0.2, 0.1))
+    rates = RateTuple.from_lists([(s2 + s3 - s1) / 2, (s1 + s3 - s2) / 2, (s1 + s2 - s3) / 2])
+    up = UplinkSpec(Field(4), np.array([1.0, 0.0, 0.0, 0.0]))
+    ev = RegionEvaluator(up, down)
+    rep = ev.report(rates)
+    assert not rep.achievable and rep.inside_outer
+    # Stopped after one iteration, the attained margin is well below 0, so
+    # the tuple is not shown achievable; the upper bound still keeps it
+    # inside the outer region.
+    monkeypatch.setattr("mwrelay.capacity.MAX_ITERS", 1)
+    rep = ev.report(rates)
+    assert rep.margin < -MARGIN_TOL and rep.upper >= 0
+    assert not rep.achievable and rep.inside_outer
 
 
 def test_check_achievable_counterexample():
@@ -89,10 +215,11 @@ def test_check_achievable_counterexample():
 
 def test_check_achievable_trivial_cases():
     up, down = counterexample_channel()
-    assert check_achievable(RateTuple.from_lists([0, 0, 0]), up, down)
-    big = RateTuple.from_lists([3, 0, 0])
-    assert not check_achievable(big, up, down)
-    assert not check_outer(big, up, down)
+    ev = RegionEvaluator(up, down)
+    assert ev.report(RateTuple.from_lists([0, 0, 0])).achievable
+    big = ev.report(RateTuple.from_lists([3, 0, 0]))
+    assert not big.achievable
+    assert not big.inside_outer
 
 
 def test_boundary_tuple_outer_but_not_inner():
@@ -100,11 +227,12 @@ def test_boundary_tuple_outer_but_not_inner():
     up = UplinkSpec(f2, np.array([1.0, 0.0]))
     down = identity_downlink(2, 2)
     # sum rate for user 2 is exactly the uplink bound of 1
-    r = RateTuple.from_lists([Fraction(1), Fraction(0)])
-    assert not check_achievable(r, up, down)
-    assert check_outer(r, up, down)
+    ev = RegionEvaluator(up, down)
+    r = ev.report(RateTuple.from_lists([Fraction(1), Fraction(0)]))
+    assert not r.achievable
+    assert r.inside_outer
     above = RateTuple.from_lists([Fraction(11, 10), Fraction(0)])
-    assert not check_outer(above, up, down)
+    assert not ev.report(above).inside_outer
 
 
 def test_inner_implies_outer_random():

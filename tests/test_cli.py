@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from mwrelay.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -20,6 +22,8 @@ def test_region_check_counterexample(capsys):
     assert code == 0
     assert "sum rate user 3: 97/100" in out
     assert "uplink bound: 1.000000" in out
+    assert "downlink margin: 0.030000" in out
+    assert "downlink margin upper bound: 0.030000" in out
     assert "inner verdict: Achievable" in out
     assert "outer verdict: InsideOrBoundary" in out
 
@@ -204,3 +208,51 @@ def test_bad_seed_and_thread_flags_are_rejected_by_name(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}" in err and "config error" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("trials", 2.7),
+        ("trials", True),
+        ("n", 40.5),
+        ("n_dl", False),
+        ("n_dl", "12.5"),
+        ("lengths.num_users", 3.5),
+        ("lengths.k", 1.5),
+        ("lengths.k", True),
+    ],
+)
+def test_non_integral_config_values_are_rejected_by_name(tmp_path, capsys, key, value):
+    cfg = json.loads((CONFIGS / "zero_noise_roundtrip.json").read_text())
+    if key == "lengths.k":
+        cfg["lengths"]["k"]["1,2"] = value
+    elif key == "lengths.num_users":
+        cfg["lengths"]["num_users"] = value
+    else:
+        cfg[key] = value
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run(["simulate", "--config", p], capsys)
+    assert code == 2 and out == ""
+    assert "config error" in err and key in err and "must be an integer" in err
+
+
+def test_integral_config_values_in_other_spellings_are_accepted(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "zero_noise_roundtrip.json").read_text())
+    cfg.update({"trials": 20.0, "n": "10", "n_dl": 48})
+    cfg["lengths"]["num_users"] = 3.0
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, _ = run(["simulate", "--config", p], capsys)
+    assert code == 0
+    assert out.splitlines()[1].startswith("10,20,0,")
+
+
+def test_non_integral_sweep_block_length_is_rejected(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "zero_noise_roundtrip.json").read_text())
+    cfg["sweep"] = {"axis": "n", "values": [10, 12.5]}
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, _, err = run(["simulate", "--config", p], capsys)
+    assert code == 2 and "sweep.values" in err

@@ -286,20 +286,6 @@ def test_relay_decode_capability_bound():
         relay_decode_sum(np.zeros(30, dtype=np.int64), BlockCode(21, 30, g, {}), np.zeros(30, dtype=np.int64), up)
 
 
-def test_check_block_rates():
-    from mwrelay.codec import check_block_rates
-
-    field = Field(2)
-    up = UplinkSpec(field, np.array([0.89, 0.11]))  # bound ~ 0.5 bits/use
-    ok = {(2,): BlockCode(2, 8, np.zeros((2, 8), dtype=np.int64), {})}
-    check_block_rates(ok, up)
-    too_fast = {(2,): BlockCode(5, 8, np.zeros((5, 8), dtype=np.int64), {})}
-    with pytest.raises(ValueError, match=r"block \(2,\)"):
-        check_block_rates(too_fast, up)
-    empty = {(2,): BlockCode(0, 4, np.zeros((0, 4), dtype=np.int64), {})}
-    check_block_rates(empty, up)
-
-
 def test_allocate_block_lengths():
     t, _ = built(lengths_l3())
     alloc = allocate_block_lengths(t, 10)
