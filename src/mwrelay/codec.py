@@ -80,29 +80,36 @@ def allocate_block_lengths(table: MessageTable, n: int) -> dict[MsgId, int]:
     return out
 
 
-def make_block_codes(
-    table: MessageTable,
-    n: int,
-    field: Field,
-    rng: np.random.Generator,
-    *,
-    full_rank: bool = False,
-) -> tuple[dict[MsgId, BlockCode], int]:
-    """Draw per-block codes (and dithers for user 1 and the owner).
+def full_rank_generator(
+    field: Field, k: int, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, int]:
+    """A uniform k-by-n matrix of rank k, and the number of redraws.
 
-    With ``full_rank`` set, rank-deficient generator matrices are
-    redrawn; the redraw count is returned for reporting.
+    Rank-deficient draws from ``rng`` are discarded and counted.
+    """
+    redraws = 0
+    g = gf.random_matrix(field, k, n, rng)
+    while gf.rank(field, g) < k:
+        redraws += 1
+        g = gf.random_matrix(field, k, n, rng)
+    return g, redraws
+
+
+def make_block_codes(
+    table: MessageTable, n: int, field: Field, rng: np.random.Generator
+) -> tuple[dict[MsgId, BlockCode], int]:
+    """Draw per-block full-rank codes (and dithers for user 1 and the owner).
+
+    Returns the codes and the count of rank-deficient generator matrices
+    redrawn, for reporting.
     """
     lengths = allocate_block_lengths(table, n)
     codes = {}
     redraws = 0
     for b in table.blocks:
         k, nb = b.width, lengths[b.msg]
-        while True:
-            g = gf.random_matrix(field, k, nb, rng)
-            if not full_rank or k == 0 or gf.rank(field, g) == k:
-                break
-            redraws += 1
+        g, r = full_rank_generator(field, k, nb, rng)
+        redraws += r
         dithers = {
             block_owner(b.msg): gf.random_vec(field, nb, rng),
             1: gf.random_vec(field, nb, rng),

@@ -3,9 +3,13 @@
 Field elements are plain integers in [0, F) whose base-p digits are the
 coefficients of a polynomial over GF(p); multiplication is carried out
 modulo a monic irreducible reduction polynomial of degree m.  A
-:class:`Field` holds the reduction polynomial together with log/exp
-tables, and every operation takes the field explicitly, so element
-values themselves stay context-free ints (or numpy integer arrays).
+:class:`Field` holds the reduction polynomial and, for every element e,
+the m-by-m GF(p) matrix of multiplication by e; every product, inverse
+and matrix product goes through those matrices.  Rank and linear solves
+eliminate over GF(p) on the digit expansion of a matrix, where the
+statuses and solutions are those over GF(p^m).  Every operation takes
+the field explicitly, so element values themselves stay context-free
+ints (or numpy integer arrays).
 
 Vectors are 1-D numpy arrays, matrices 2-D numpy arrays, both with
 entries in [0, F).
@@ -33,31 +37,10 @@ def _smallest_prime_factor(n: int) -> int:
     return n
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    while n > 1:
-        f = _smallest_prime_factor(n)
-        out.append(f)
-        while n % f == 0:
-            n //= f
-    return out
-
-
 def _poly_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
 
 
 def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
@@ -79,13 +62,6 @@ def _int_to_poly(v: int, p: int) -> list[int]:
         out.append(v % p)
         v //= p
     return out
-
-
-def _poly_to_int(c: list[int], p: int) -> int:
-    v = 0
-    for d in reversed(c):
-        v = v * p + d
-    return v
 
 
 def _is_irreducible(poly: list[int], p: int) -> bool:
@@ -165,107 +141,57 @@ class Field:
                     raise FieldSpecError(f"reduction polynomial {poly} is reducible over GF({p})")
                 self.reduction_poly = poly
         self._powers = p ** np.arange(m, dtype=np.int64)
-        self._build_log_tables()
         # reps[e] is the m-by-m GF(p) matrix M with digits(x*e) = digits(x) @ M
-        # (mod p): row r holds the digits of p^r * e.
-        self._reps = self.digits(self.mul(np.arange(order)[:, None], self._powers[None, :]))
+        # (mod p): row r holds the digits of e * x^r, the row before shifted
+        # up one power and reduced by x^m = -(c_0 + ... + c_{m-1} x^(m-1)).
+        rows = [self.digits(np.arange(order))]
+        for _ in range(m - 1):
+            prev = rows[-1]
+            shifted = np.concatenate([np.zeros_like(prev[:, :1]), prev[:, :-1]], axis=1)
+            rows.append((shifted - prev[:, -1:] * np.array(self.reduction_poly[:-1])) % p)
+        self._reps = np.stack(rows, axis=1)
         self._reps.setflags(write=False)
 
-    # -- construction helpers -------------------------------------------------
-
-    def _mul_scalar_raw(self, a: int, b: int) -> int:
-        """Table-free product, used only while building the tables."""
-        if self.m == 1:
-            return (a * b) % self.p
-        prod = _poly_mul(_int_to_poly(a, self.p), _int_to_poly(b, self.p), self.p)
-        return _poly_to_int(_poly_mod(prod, list(self.reduction_poly), self.p), self.p)
-
-    def _pow_scalar_raw(self, a: int, e: int) -> int:
-        out = 1
-        base = a
-        while e:
-            if e & 1:
-                out = self._mul_scalar_raw(out, base)
-            base = self._mul_scalar_raw(base, base)
-            e >>= 1
-        return out
-
-    def _build_log_tables(self) -> None:
-        n = self.order - 1
-        gen = 1
-        if n > 1:
-            primes = _prime_factors(n)
-            for cand in range(2, self.order):
-                if all(self._pow_scalar_raw(cand, n // q) != 1 for q in primes):
-                    gen = cand
-                    break
-        exp = np.zeros(max(n, 1), dtype=np.int64)
-        log = np.full(self.order, -1, dtype=np.int64)
-        v = 1
-        for i in range(n):
-            exp[i] = v
-            log[v] = i
-            v = self._mul_scalar_raw(v, gen)
-        if n == 1:
-            exp[0] = 1
-            log[1] = 0
-        self._exp = exp
-        self._log = log
-
     # -- element arithmetic ----------------------------------------------------
+
+    def _element(self, d: np.ndarray, *operands):
+        """Element(s) with digits ``d``; a Python int when no operand is an array."""
+        out = self.from_digits(d)
+        return out if any(isinstance(x, np.ndarray) for x in operands) else int(out)
 
     def add(self, a, b):
         """Digit-wise addition mod p (works on ints and integer arrays)."""
         if self.p == 2:
             return a ^ b
-        out = 0
-        pk = 1
-        for _ in range(self.m):
-            out = out + ((a // pk + b // pk) % self.p) * pk
-            pk *= self.p
-        return out
+        return self._element(self.digits(a) + self.digits(b), a, b)
 
     def neg(self, a):
         if self.p == 2:
             return a if not isinstance(a, np.ndarray) else a.copy()
-        out = 0
-        pk = 1
-        for _ in range(self.m):
-            out = out + ((self.p - a // pk % self.p) % self.p) * pk
-            pk *= self.p
-        return out
+        return self._element(-self.digits(a), a)
 
     def sub(self, a, b):
         if self.p == 2:
             return a ^ b
-        return self.add(a, self.neg(b))
+        return self._element(self.digits(a) - self.digits(b), a, b)
 
     def mul(self, a, b):
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            a = np.asarray(a, dtype=np.int64)
-            b = np.asarray(b, dtype=np.int64)
-            if self.m == 1:
-                return (a * b) % self.p
-            a, b = np.broadcast_arrays(a, b)
-            out = np.zeros(a.shape, dtype=np.int64)
-            nz = (a != 0) & (b != 0)
-            if np.any(nz):
-                out[nz] = self._exp[(self._log[a[nz]] + self._log[b[nz]]) % (self.order - 1)]
-            return out
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[(int(self._log[a]) + int(self._log[b])) % (self.order - 1)])
+        """Product through b's multiplication matrix: digits(a) @ reps[b]."""
+        d = np.matmul(self.digits(a)[..., None, :], self._reps[np.asarray(b, dtype=np.int64)])
+        return self._element(d[..., 0, :], a, b)
 
     def inv(self, a):
-        if isinstance(a, np.ndarray):
-            if np.any(a == 0):
-                raise ZeroDivisionError("0 has no multiplicative inverse")
-            n = self.order - 1
-            return self._exp[(n - self._log[a]) % n]
-        if a == 0:
+        """a^(F-2) by square-and-multiply; raises ZeroDivisionError at 0."""
+        if np.any(np.asarray(a) == 0):
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        n = self.order - 1
-        return int(self._exp[(n - int(self._log[a])) % n])
+        out = np.ones(np.shape(a), dtype=np.int64) if isinstance(a, np.ndarray) else 1
+        base, e = a, self.order - 2
+        while e:
+            if e & 1:
+                out = self.mul(out, base)
+            base = self.mul(base, base)
+            e >>= 1
+        return out
 
     def elements(self) -> range:
         return range(self.order)
@@ -351,8 +277,8 @@ def mat_mul(field: Field, u: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out[0] if u.ndim == 1 else out
 
 
-def _eliminate(field: Field, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """In-place reduced row echelon form; returns (matrix, pivot columns)."""
+def _eliminate(p: int, m: np.ndarray) -> list[int]:
+    """In-place reduced row echelon form over GF(p); returns the pivot columns."""
     rows, cols = m.shape
     pivots = []
     r = 0
@@ -365,49 +291,43 @@ def _eliminate(field: Field, m: np.ndarray) -> tuple[np.ndarray, list[int]]:
         pr = r + int(hit[0])
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
-        m[r] = field.mul(field.inv(int(m[r, c])), m[r])
+        m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
         others = np.nonzero(m[:, c])[0]
         others = others[others != r]
-        m[others] = field.sub(m[others], field.mul(m[others, c][:, None], m[r][None, :]))
+        m[others] = (m[others] - m[others, c][:, None] * m[r]) % p
         pivots.append(c)
         r += 1
-    return m, pivots
+    return pivots
 
 
 def rank(field: Field, a: np.ndarray) -> int:
-    a = np.array(a, dtype=np.int64, copy=True)
+    """Rank over GF(p^m): the GF(p) rank of the digit expansion, over m."""
+    a = np.asarray(a, dtype=np.int64)
     if a.size == 0:
         return 0
-    _, pivots = _eliminate(field, a)
-    return len(pivots)
+    return len(_eliminate(field.p, field.expand_matrix(a))) // field.m
 
 
 def solve_linear(field: Field, a: np.ndarray, b: np.ndarray) -> LinearSolution:
-    """Solve a x = b by Gaussian elimination over the field.
+    """Solve a x = b by Gaussian elimination over GF(p).
 
-    Returns the unique solution when it exists, otherwise classifies the
-    system as inconsistent or underdetermined.
+    a x = b is digits(x) @ expand_matrix(a.T) = digits(b), a GF(p) system
+    in bijection with the original, so its status and solution carry
+    over.  Returns the unique solution when it exists, otherwise
+    classifies the system as inconsistent or underdetermined.
     """
-    a = np.array(a, dtype=np.int64, copy=True)
+    a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
         raise ValueError(f"dimension mismatch: A has {a.shape}, b has {b.shape}")
-    rows, cols = a.shape
-    aug = np.concatenate([a, b[:, None]], axis=1)
-    aug, pivots = _eliminate(field, aug)
+    cols = a.shape[1] * field.m
+    aug = np.concatenate([field.expand_matrix(a.T).T, field.digits(b).reshape(-1, 1)], axis=1)
+    pivots = _eliminate(field.p, aug)
     if cols in pivots:
         return LinearSolution("inconsistent")
-    # Pivot in the rhs column means some row reduced to 0 = nonzero.
-    coeff_pivots = [c for c in pivots if c < cols]
-    for i in range(len(coeff_pivots), rows):
-        if aug[i, cols]:
-            return LinearSolution("inconsistent")
-    if len(coeff_pivots) < cols:
+    if len(pivots) < cols:
         return LinearSolution("underdetermined")
-    x = np.zeros(cols, dtype=np.int64)
-    for i, c in enumerate(coeff_pivots):
-        x[c] = aug[i, cols]
-    return LinearSolution("unique", x)
+    return LinearSolution("unique", field.from_digits(aug[:cols, cols].reshape(-1, field.m)))
 
 
 def random_matrix(field: Field, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:

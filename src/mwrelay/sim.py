@@ -112,7 +112,7 @@ def _run_trial(
     messages = {m: gf.random_vec(field, lengths.k[m], msg_rng) for m in scheme.ids}
 
     codes, redraws = codec.make_block_codes(
-        table, cfg.n, field, stream(cfg.master_seed, "codes", t), full_rank=True
+        table, cfg.n, field, stream(cfg.master_seed, "codes", t)
     )
     word_hat = codec.uplink_round(
         scheme, messages, codes, cfg.up, stream(cfg.master_seed, "uplink-noise", t)
@@ -179,6 +179,8 @@ def sweep(
     rows = []
     for v in values:
         if axis == "n":
+            if v != int(v):
+                raise ValueError(f"block length n={v!r} is not an integer")
             sub = TrialConfig(
                 cfg.up, cfg.down, int(v), cfg.n_dl, cfg.trials, cfg.master_seed,
                 rates=cfg.rates, lengths=cfg.lengths, input_dist=cfg.input_dist,
@@ -216,12 +218,7 @@ def sum_decode_trials(
 
     def job(t: int) -> tuple[bool, int]:
         rng = stream(master_seed, "sum-decode", t)
-        redraws = 0
-        while True:
-            g = gf.random_matrix(field, k, n, rng)
-            if gf.rank(field, g) == k:
-                break
-            redraws += 1
+        g, redraws = codec.full_rank_generator(field, k, n, rng)
         q1 = gf.random_vec(field, n, rng)
         q2 = gf.random_vec(field, n, rng)
         u1 = gf.random_vec(field, k, rng)

@@ -309,7 +309,7 @@ def test_uplink_round_zero_noise_recovers_relay_word():
         if t.total_cols == 0:
             continue
         msgs = random_messages(field, lengths, rng)
-        codes, _ = make_block_codes(t, 2 * t.total_cols, field, rng, full_rank=True)
+        codes, _ = make_block_codes(t, 2 * t.total_cols, field, rng)
         est = uplink_round(scheme, msgs, codes, up, rng)
         assert np.array_equal(est, relay_word(scheme, msgs))
         assert np.array_equal(est, ref_relay_word(field, msgs, t, cols))
@@ -321,7 +321,7 @@ def test_uplink_round_l2_single_block():
     lengths = SymbolLengths(2, {(1,): 1, (2,): 1})
     t, cols, scheme = compiled(field, lengths)
     msgs = {(1,): np.array([1]), (2,): np.array([1]), (1, 2): np.zeros(0, dtype=np.int64)}
-    codes, _ = make_block_codes(t, 2, field, stream(8, "l2"), full_rank=True)
+    codes, _ = make_block_codes(t, 2, field, stream(8, "l2"))
     est = uplink_round(scheme, msgs, codes, up, stream(8, "l2n"))
     assert np.array_equal(est, field.add(msgs[(1,)], msgs[(2,)]))
     assert block_owner((2,)) == 2
@@ -519,7 +519,7 @@ def test_dither_invariance_of_zero_noise_result():
     msgs = random_messages(field, lengths, stream(8, "dm"))
     outs = []
     for seed in (1, 2, 3):
-        codes, _ = make_block_codes(t, 2 * t.total_cols, field, stream(seed, "dith"), full_rank=True)
+        codes, _ = make_block_codes(t, 2 * t.total_cols, field, stream(seed, "dith"))
         outs.append(uplink_round(scheme, msgs, codes, up, stream(seed, "n")))
     assert all(np.array_equal(o, outs[0]) for o in outs)
 

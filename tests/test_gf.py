@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -209,11 +211,11 @@ def test_digit_expansion_consistency():
 
 
 def ref_mat_mul(field, u, g):
-    """Row loop over the field's own add and mul, kept as an oracle."""
+    """Row loop over the polynomial oracle's tables, kept as an oracle."""
+    add, mul = oracle_tables(field)
     out = np.zeros(g.shape[1], dtype=np.int64)
     for i in range(u.shape[0]):
-        if u[i]:
-            out = field.add(out, field.mul(int(u[i]), g[i]))
+        out = add[out, mul[u[i], g[i]]]
     return out
 
 
@@ -243,3 +245,146 @@ def test_json_round_trip():
     for order in (2, 4, 9, 16):
         f = Field(order)
         assert Field.from_json(f.to_json()) == f
+
+
+# -- independent oracle: polynomial arithmetic over GF(p) ------------------------
+
+
+def prime_powers(limit):
+    primes = [q for q in range(2, limit + 1) if all(q % d for d in range(2, q))]
+    return sorted(q**e for q in primes for e in range(1, 9) if q**e <= limit)
+
+
+def poly_digits(field, a):
+    return [(a // field.p**i) % field.p for i in range(field.m)]
+
+
+def poly_value(field, coeffs):
+    return sum(c * field.p**i for i, c in enumerate(coeffs[: field.m]))
+
+
+def oracle_add(field, a, b):
+    pairs = zip(poly_digits(field, a), poly_digits(field, b))
+    return poly_value(field, [(x + y) % field.p for x, y in pairs])
+
+
+def oracle_neg(field, a):
+    return poly_value(field, [-x % field.p for x in poly_digits(field, a)])
+
+
+def oracle_mul(field, a, b):
+    """Schoolbook product of the digit polynomials, then long division by
+    the monic reduction polynomial, all mod p."""
+    p, m = field.p, field.m
+    da, db = poly_digits(field, a), poly_digits(field, b)
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(2 * m - 2, m - 1, -1):
+        lead = prod[top]
+        for i, c in enumerate(field.reduction_poly or ()):
+            prod[top - m + i] = (prod[top - m + i] - lead * c) % p
+    return poly_value(field, prod)
+
+
+def oracle_tables(field):
+    """(add, mul) lookup tables of the field, built from the oracle."""
+    elems = range(field.order)
+    add = np.array([[oracle_add(field, a, b) for b in elems] for a in elems], dtype=np.int64)
+    mul = np.array([[oracle_mul(field, a, b) for b in elems] for a in elems], dtype=np.int64)
+    return add, mul
+
+
+def test_field_ops_match_polynomial_oracle():
+    fields = prime_powers(256)
+    assert len(fields) == 70
+    for order in fields:
+        f = Field(order)
+        if order <= 16:
+            a, b = (x.ravel() for x in np.meshgrid(np.arange(order), np.arange(order)))
+        else:
+            a, b, c = stream(37, "oracle", order).integers(0, order, size=(3, 300))
+        want_add = [oracle_add(f, x, y) for x, y in zip(a.tolist(), b.tolist())]
+        want_mul = [oracle_mul(f, x, y) for x, y in zip(a.tolist(), b.tolist())]
+        want_neg = [oracle_neg(f, y) for y in b.tolist()]
+        want_sub = [oracle_add(f, x, y) for x, y in zip(a.tolist(), want_neg)]
+        assert f.add(a, b).tolist() == want_add
+        assert f.mul(a, b).tolist() == want_mul
+        assert f.neg(b).tolist() == want_neg
+        assert f.sub(a, b).tolist() == want_sub
+        nz = a[a != 0]
+        inverses = zip(nz.tolist(), f.inv(nz).tolist())
+        assert [oracle_mul(f, x, y) for x, y in inverses] == [1] * nz.size
+        if order > 16:
+            abc = zip(want_mul, c.tolist())
+            assert f.mul(f.mul(a, b), c).tolist() == [oracle_mul(f, x, y) for x, y in abc]
+        for x, y in list(zip(a.tolist(), b.tolist()))[:20]:
+            assert f.mul(x, y) == oracle_mul(f, x, y) and type(f.mul(x, y)) is int
+            assert f.add(x, y) == oracle_add(f, x, y)
+            assert f.sub(x, y) == oracle_add(f, x, oracle_neg(f, y))
+            if x:
+                assert oracle_mul(f, x, f.inv(x)) == 1
+    inv = Field(2).inv(np.array([1, 1, 1]))
+    assert isinstance(inv, np.ndarray) and inv.tolist() == [1, 1, 1]
+
+
+def brute_force_rank(tables, order, a):
+    """log_F of the number of distinct row combinations u A over all u."""
+    add, mul = tables
+    rows, cols = a.shape
+    combos = {(0,) * cols}
+    for u in itertools.product(range(order), repeat=rows):
+        v = np.zeros(cols, dtype=np.int64)
+        for i in range(rows):
+            v = add[v, mul[u[i], a[i]]]
+        combos.add(tuple(v.tolist()))
+    r = round(np.log(len(combos)) / np.log(order))
+    assert order**r == len(combos)
+    return r
+
+
+def brute_force_solutions(tables, order, a, b):
+    """Every x in F^cols with a x = b."""
+    add, mul = tables
+    rows, cols = a.shape
+    out = []
+    for x in itertools.product(range(order), repeat=cols):
+        ax = np.zeros(rows, dtype=np.int64)
+        for j in range(cols):
+            ax = add[ax, mul[a[:, j], x[j]]]
+        if np.array_equal(ax, b):
+            out.append(list(x))
+    return out
+
+
+def test_rank_and_solve_match_brute_force():
+    for order in (2, 3, 4, 8, 9):
+        f = Field(order)
+        tables = oracle_tables(f)
+        add, mul = tables
+        rng = stream(41, "brute", order)
+        seen = set()
+        for i in range(36):
+            rows, cols = (int(v) for v in rng.integers(1, 4, size=2))
+            a = random_matrix(f, rows, cols, rng)
+            b = random_vec(f, rows, rng)
+            if rows >= 2 and i % 3:
+                # Last row = s * first row (+ t * second), so the rank drops.
+                s, t = (int(v) for v in rng.integers(0, order, size=2))
+                mix = mul[s, a[0]] if rows == 2 else add[mul[s, a[0]], mul[t, a[1]]]
+                b_mix = mul[s, b[0]] if rows == 2 else add[mul[s, b[0]], mul[t, b[1]]]
+                a[-1] = mix
+                # i % 3 == 1 keeps b consistent with that row; 2 breaks it.
+                b[-1] = b_mix if i % 3 == 1 else add[b_mix, 1 + int(rng.integers(0, order - 1))]
+            assert rank(f, a) == brute_force_rank(tables, order, a)
+            found = brute_force_solutions(tables, order, a, b)
+            sol = solve_linear(f, a, b)
+            want = {0: "inconsistent", 1: "unique"}.get(len(found), "underdetermined")
+            assert sol.status == want, (order, a.tolist(), b.tolist())
+            if want == "unique":
+                assert sol.x.tolist() == found[0]
+            else:
+                assert sol.x is None
+            seen.add(want)
+        assert seen == {"inconsistent", "unique", "underdetermined"}

@@ -112,6 +112,13 @@ def test_sweep_single_value_matches_run_trials():
         sweep(cfg, "frequency", [1])
 
 
+def test_sweep_rejects_a_non_integral_block_length():
+    cfg = zero_noise_cfg(trials=5)
+    with pytest.raises(ValueError, match="10.7"):
+        sweep(cfg, "n", [10.7])
+    assert sweep(cfg, "n", [10, 10.0]) == [(10.0, run_trials(cfg))] * 2
+
+
 def test_sweep_rate_scale_requires_rates():
     cfg = zero_noise_cfg(trials=5)
     with pytest.raises(ValueError):
