@@ -18,20 +18,11 @@ import numpy as np
 
 from . import lp
 from .channel import DownlinkSpec, UplinkSpec, mutual_info, uplink_bound
-from .schedule import MsgId, message_ids
+from .schedule import MsgId, decode_sums, message_ids, msg_id, per_message
 
 #: Real-valued downlink margins within this tolerance of zero are treated
 #: as boundary cases (neither strictly inside nor strictly outside).
 MARGIN_TOL = 1e-9
-
-
-def as_msg_id(key) -> MsgId:
-    key = tuple(int(i) for i in key)
-    if len(key) == 1:
-        return key
-    if len(key) == 2 and key[0] != key[1]:
-        return (min(key), max(key))
-    raise ValueError(f"bad message id {key!r}")
 
 
 class RateTuple:
@@ -45,30 +36,16 @@ class RateTuple:
         if num_users < 2:
             raise ValueError("need at least two users")
         self.num_users = num_users
-        table = {}
-        for key, val in rates.items():
-            table[as_msg_id(key)] = Fraction(val)
-        expected = set(message_ids(num_users))
-        missing = expected - set(table)
-        extra = set(table) - expected
-        if extra:
-            raise ValueError(f"rates given for unknown messages {sorted(extra)}")
-        for key in missing:
-            table[key] = Fraction(0)
-        if any(v < 0 for v in table.values()):
-            raise ValueError("rates must be nonnegative")
-        self.rates = table
+        self.rates = per_message(num_users, rates.items(), Fraction, "rate")
 
     @classmethod
     def from_lists(cls, private, common=None) -> "RateTuple":
+        items = [((i + 1,), r) for i, r in enumerate(private)] + list((common or {}).items())
         num_users = len(private)
-        rates = {(i + 1,): r for i, r in enumerate(private)}
-        for key, val in (common or {}).items():
-            rates[as_msg_id(key)] = val
-        return cls(num_users, rates)
+        return cls(num_users, per_message(num_users, items, Fraction, "rate"))
 
     def rate(self, key) -> Fraction:
-        return self.rates[as_msg_id(key)]
+        return self.rates[msg_id(key)]
 
     def sum_rate(self, a: int) -> Fraction:
         """Total rate of everything user ``a`` must decode."""
@@ -83,19 +60,14 @@ class RateTuple:
     def _sum_rates(self) -> tuple[Fraction, ...]:
         # Computed once per tuple: the split LP reads them for every cap
         # row, and every region report of the tuple shares them.
-        return tuple(
-            sum((r for key, r in self.rates.items() if a not in key), Fraction(0))
-            for a in range(1, self.num_users + 1)
-        )
+        return tuple(decode_sums(self.num_users, self.rates))
 
     def scaled(self, factor) -> "RateTuple":
         f = Fraction(factor)
         return RateTuple(self.num_users, {k: v * f for k, v in self.rates.items()})
 
     def with_rate(self, key, value) -> "RateTuple":
-        rates = dict(self.rates)
-        rates[as_msg_id(key)] = Fraction(value)
-        return RateTuple(self.num_users, rates)
+        return RateTuple(self.num_users, {**self.rates, msg_id(key): value})
 
     def __eq__(self, other):
         return (
@@ -416,8 +388,6 @@ def region_slice(
         max_value = (ceiling // step) * step
     else:
         max_value = Fraction(max_value)
-    key_x = as_msg_id(key_x)
-    key_y = as_msg_id(key_y)
     evaluator = RegionEvaluator(up, down)
     rows = []
     x = Fraction(0)

@@ -32,6 +32,7 @@ from .schedule import (
     SymbolLengths,
     build_table,
     format_table,
+    msg_id,
     reindex_users,
     verify_props,
 )
@@ -116,16 +117,11 @@ def parse_rates(obj: dict, where: str = "rates") -> RateTuple:
     if "private" not in obj:
         raise ConfigError(f"{where} needs a 'private' list")
     private = [_fraction(v, where) for v in obj["private"]]
-    common = {}
-    for key, val in (obj.get("common") or {}).items():
-        parts = key.replace(" ", "").split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"common rate key {key!r} must look like 'i,j'")
-        common[(int(parts[0]), int(parts[1]))] = _fraction(val, where)
+    common = {key: _fraction(v, where) for key, v in (obj.get("common") or {}).items()}
     try:
         return RateTuple.from_lists(private, common)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_lengths(obj: dict) -> SymbolLengths:
@@ -133,14 +129,11 @@ def parse_lengths(obj: dict) -> SymbolLengths:
     for key in ("num_users", "k"):
         if key not in obj:
             raise ConfigError(f"lengths config is missing {key!r}")
-    k = {}
-    for key, val in obj["k"].items():
-        parts = key.replace(" ", "").split(",")
-        k[tuple(int(p) for p in parts)] = _integer(val, f"lengths.k[{key!r}]")
+    k = {key: _integer(v, f"lengths.k[{key!r}]") for key, v in obj["k"].items()}
     try:
         return SymbolLengths(_integer(obj["num_users"], "lengths.num_users"), k)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"lengths: {exc}") from exc
 
 
 def _load_config(path: str) -> dict:
@@ -324,13 +317,18 @@ def cmd_region_sweep(cfg: dict, args) -> int:
     for key in ("x", "y", "step"):
         if key not in sw:
             raise ConfigError(f"region sweep needs {key!r}")
-    def coord(s):
-        return tuple(int(p) for p in str(s).replace(" ", "").split(","))
+    keys = []
+    for axis in ("x", "y"):
+        try:
+            keys.append(msg_id(sw[axis]))
+        except ValueError as exc:
+            raise ConfigError(f"sweep.{axis}: {exc}") from exc
+        if keys[-1] not in rates.rates:
+            raise ConfigError(f"sweep.{axis}: no message {keys[-1]} among {rates.num_users} users")
     step = _fraction(sw["step"], "sweep.step")
     max_val = _fraction(sw["max"], "sweep.max") if "max" in sw else None
-    rows = region_slice(rates, coord(sw["x"]), coord(sw["y"]), up, down, step, max_val)
-    name_x = "R_" + "_".join(map(str, coord(sw["x"])))
-    name_y = "R_" + "_".join(map(str, coord(sw["y"])))
+    rows = region_slice(rates, *keys, up, down, step, max_val)
+    name_x, name_y = ("R_" + "_".join(map(str, key)) for key in keys)
     lines = [f"{name_x},{name_y},achievable,outer"]
     lines.extend(
         f"{float(r.x):.8f},{float(r.y):.8f},{int(r.achievable)},{int(r.inside_outer)}"
@@ -363,8 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--seed", type=_int_at_least(0), default=0, help="master seed")
-        p.add_argument("--threads", type=_int_at_least(1), default=1, help="worker threads")
+        if name == "simulate":
+            p.add_argument("--seed", type=_int_at_least(0), default=0, help="master seed")
+            p.add_argument("--threads", type=_int_at_least(1), default=1, help="worker threads")
         if name == "schedule-build":
             p.add_argument("--json-out", default=None, help="table JSON dump path")
         p.set_defaults(fn=fn)

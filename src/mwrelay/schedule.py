@@ -22,6 +22,7 @@ total; ``reindex_users`` relabels any instance into that form.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,11 +49,58 @@ def message_ids(num_users: int) -> list[MsgId]:
     return singles + pairs
 
 
+def msg_id(key) -> MsgId:
+    """Canonical id ``(i,)`` or ``(i, j)`` with i < j.
+
+    Takes an int, a sequence of ints, or text ``"i"`` / ``"i,j"`` (spaces
+    allowed, either order).
+    """
+    if isinstance(key, str):
+        parts, convert = key.split(","), int
+    else:
+        parts, convert = key if isinstance(key, (tuple, list)) else [key], operator.index
+    try:
+        ids = tuple(sorted(map(convert, parts)))
+    except (TypeError, ValueError):
+        ids = ()
+    if len(ids) == 1 or (len(ids) == 2 and ids[0] != ids[1]):
+        return ids
+    raise ValueError(f"bad message id {key!r}")
+
+
+def per_message(num_users: int, items, convert, what: str) -> dict:
+    """``convert``-ed values over ``message_ids(num_users)`` from (key, value) pairs.
+
+    Missing messages get ``convert(0)``.  An unknown message, a message
+    given twice (in either order) and a negative value are rejected.
+    """
+    table = dict.fromkeys(message_ids(num_users))
+    for key, value in items:
+        msg = msg_id(key)
+        if msg not in table:
+            raise ValueError(f"{what} given for unknown message {msg}")
+        if table[msg] is not None:
+            raise ValueError(f"{what} for message {msg} given twice")
+        table[msg] = convert(value)
+        if table[msg] < 0:
+            raise ValueError(f"negative {what} for message {msg}")
+    return {msg: convert(0) if v is None else v for msg, v in table.items()}
+
+
+def decode_sums(num_users: int, values: dict) -> list:
+    """Per user, the total of ``values`` over the messages it lacks."""
+    return [sum(v for msg, v in values.items() if a not in msg) for a in range(1, num_users + 1)]
+
+
 def block_ids(num_users: int) -> list[MsgId]:
     """Table block order: messages not involving user 1."""
-    singles = [(a,) for a in range(2, num_users + 1)]
-    pairs = [tuple(p) for p in itertools.combinations(range(2, num_users + 1), 2)]
-    return singles + pairs
+    return [msg for msg in message_ids(num_users) if 1 not in msg]
+
+
+def _symbol_count(value) -> int:
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"symbol length {value!r} is not an integer")
+    return int(value)
 
 
 @dataclass
@@ -65,30 +113,25 @@ class SymbolLengths:
     def __post_init__(self):
         if self.num_users < 2:
             raise ValueError("need at least two users")
-        table = {}
-        for key, val in self.k.items():
-            key = tuple(int(i) for i in key)
-            if len(key) == 2:
-                key = (min(key), max(key))
-            val = int(val)
-            if val < 0:
-                raise ValueError(f"negative length for {key}")
-            table[key] = val
-        expected = set(message_ids(self.num_users))
-        if set(table) - expected:
-            raise ValueError(f"lengths for unknown messages {sorted(set(table) - expected)}")
-        for key in expected - set(table):
-            table[key] = 0
-        self.k = table
+        self.k = per_message(self.num_users, self.k.items(), _symbol_count, "length")
 
     def k_sum(self, a: int) -> int:
         """Total symbols user ``a`` must decode."""
         if not 1 <= a <= self.num_users:
             raise ValueError(f"no such user {a}")
-        return sum(v for key, v in self.k.items() if a not in key)
+        return self.k_sums()[a - 1]
 
     def k_sums(self) -> list[int]:
-        return [self.k_sum(a) for a in range(1, self.num_users + 1)]
+        return decode_sums(self.num_users, self.k)
+
+    def row_symbols(self, a: int) -> list[MessageRef]:
+        """The symbols user 1 knows and user ``a`` lacks, in table order."""
+        return [
+            MessageRef(msg, p)
+            for msg in message_ids(self.num_users)
+            if 1 in msg and a not in msg
+            for p in range(self.k[msg])
+        ]
 
 
 def reindex_users(lengths: SymbolLengths) -> tuple[list[int], SymbolLengths]:
@@ -102,10 +145,7 @@ def reindex_users(lengths: SymbolLengths) -> tuple[list[int], SymbolLengths]:
     top = max(range(lengths.num_users), key=lambda i: (sums[i], -i)) + 1
     order = [top] + [u for u in range(1, lengths.num_users + 1) if u != top]
     inverse = {old: new for new, old in enumerate(order, start=1)}
-    new_k = {}
-    for key, val in lengths.k.items():
-        new_key = tuple(sorted(inverse[i] for i in key))
-        new_k[new_key] = val
+    new_k = {tuple(inverse[i] for i in key): val for key, val in lengths.k.items()}
     return order, SymbolLengths(lengths.num_users, new_k)
 
 
@@ -166,17 +206,17 @@ class MessageTable:
     def from_json(cls, obj: dict) -> "MessageTable":
         lengths = SymbolLengths(
             int(obj["num_users"]),
-            {tuple(int(i) for i in key.split("_")): v for key, v in obj["lengths"].items()},
+            {key.replace("_", ","): v for key, v in obj["lengths"].items()},
         )
         blocks = []
         for b in obj["blocks"]:
             cells = {}
             for row, cell in b["cells"].items():
                 cells[int(row)] = [
-                    None if r is None else MessageRef(tuple(r[0]), int(r[1])) for r in cell
+                    None if r is None else MessageRef(msg_id(r[0]), int(r[1])) for r in cell
                 ]
             blocks.append(
-                Block(tuple(b["msg"]), int(b["width"]), tuple(b["star_rows"]), cells)
+                Block(msg_id(b["msg"]), int(b["width"]), tuple(b["star_rows"]), cells)
             )
         return cls(int(obj["num_users"]), lengths, blocks)
 
@@ -191,18 +231,10 @@ def build_table(lengths: SymbolLengths) -> MessageTable:
     num_users = lengths.num_users
     blocks = []
     for msg in block_ids(num_users):
-        star = tuple(sorted(msg))
-        blocks.append(Block(msg, lengths.k[msg], star, {}))
+        blocks.append(Block(msg, lengths.k[msg], msg, {}))
 
     for a in range(2, num_users + 1):
-        content: list[MessageRef | None] = [
-            MessageRef((1,), p) for p in range(lengths.k[(1,)])
-        ]
-        for j in range(2, num_users + 1):
-            if j == a:
-                continue
-            pair = (1, j)
-            content.extend(MessageRef(pair, p) for p in range(lengths.k[pair]))
+        content: list[MessageRef | None] = lengths.row_symbols(a)
         width = sum(b.width for b in blocks if a in b.star_rows)
         if len(content) > width:
             raise ScheduleError(

@@ -208,11 +208,7 @@ def decode_matrix(cols: list[SimplifiedColumn], a: int, table: MessageTable) -> 
     """
     if a < 2 or a > table.num_users:
         raise ValueError(f"decode_matrix is for users 2..L, got {a}")
-    unknowns = [MessageRef((1,), p) for p in range(table.lengths.k[(1,)])]
-    for j in range(2, table.num_users + 1):
-        if j == a:
-            continue
-        unknowns.extend(MessageRef((1, j), p) for p in range(table.lengths.k[(1, j)]))
+    unknowns = table.lengths.row_symbols(a)
     index_of = {ref: i for i, ref in enumerate(unknowns)}
 
     used = [c for c in cols if a in c.rows and c.cells.get(a) is not None]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -181,17 +181,11 @@ def sweep(
         if axis == "n":
             if v != int(v):
                 raise ValueError(f"block length n={v!r} is not an integer")
-            sub = TrialConfig(
-                cfg.up, cfg.down, int(v), cfg.n_dl, cfg.trials, cfg.master_seed,
-                rates=cfg.rates, lengths=cfg.lengths, input_dist=cfg.input_dist,
-            )
+            sub = replace(cfg, n=int(v))
         elif axis == "rate_scale":
             if cfg.rates is None:
                 raise ValueError("rate_scale sweeps need a rate tuple")
-            sub = TrialConfig(
-                cfg.up, cfg.down, cfg.n, cfg.n_dl, cfg.trials, cfg.master_seed,
-                rates=cfg.rates.scaled(v), input_dist=cfg.input_dist,
-            )
+            sub = replace(cfg, rates=cfg.rates.scaled(v))
         else:
             raise ValueError(f"unknown sweep axis {axis!r}")
         stats = run_trials(sub, threads)

@@ -242,10 +242,9 @@ def test_criterion_7_thread_count_determinism(tmp_path, capsys):
             outputs = []
             for threads in ("1", "4"):
                 out = tmp_path / f"{config}.{threads}.csv"
-                code = main([
-                    command, "--config", str(CONFIGS / config), "--out", str(out),
-                    "--seed", "11", "--threads", threads,
-                ])
+                # region-sweep takes no seed or workers; its runs must agree all the same.
+                flags = ["--seed", "11", "--threads", threads] if command == "simulate" else []
+                code = main([command, "--config", str(CONFIGS / config), "--out", str(out), *flags])
                 assert code == 0
                 outputs.append(out.read_bytes())
             assert outputs[0] == outputs[1], f"{config}: outputs differ across thread counts"

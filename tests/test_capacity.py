@@ -58,6 +58,14 @@ def test_rate_tuple_validation():
     assert r.rate((1, 2)) == Fraction(1, 4)
 
 
+def test_rate_tuple_rejects_a_message_given_twice():
+    with pytest.raises(ValueError, match="given twice"):
+        RateTuple(3, {(1, 2): Fraction(9, 10), (2, 1): 0})
+    # a common entry may not restate a private rate
+    with pytest.raises(ValueError, match="given twice"):
+        RateTuple.from_lists([1, 2, 3], {(1,): 7})
+
+
 def test_max_min_noiseless_binary():
     _, down = counterexample_channel()
     margin, _, dist = max_min_downlink(down, [0, 0, 0])

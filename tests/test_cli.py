@@ -256,3 +256,65 @@ def test_non_integral_sweep_block_length_is_rejected(tmp_path, capsys):
     p.write_text(json.dumps(cfg))
     code, _, err = run(["simulate", "--config", p], capsys)
     assert code == 2 and "sweep.values" in err
+
+
+def _edited_config(tmp_path, name, edit):
+    cfg = json.loads((CONFIGS / name).read_text())
+    edit(cfg)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    return p
+
+
+@pytest.mark.parametrize(
+    "command, name, edit, section",
+    [
+        (
+            "region-check",
+            "f4_pairwise_counterexample.json",
+            lambda c: c["rates"].update(common={"1,2": "0.9", "2,1": "0"}),
+            "rates:",
+        ),
+        (
+            "schedule-build",
+            "schedule_l3.json",
+            lambda c: c["lengths"]["k"].update({"2,1": 0}),
+            "lengths:",
+        ),
+        (
+            "region-check",
+            "f4_pairwise_counterexample.json",
+            lambda c: c["rates"].update(common={"1,x": "1/10"}),
+            "rates: bad message id '1,x'",
+        ),
+        (
+            "region-sweep",
+            "region_sweep_f4.json",
+            lambda c: c["sweep"].update(x="1,1"),
+            "sweep.x:",
+        ),
+        (
+            "region-sweep",
+            "region_sweep_f4.json",
+            lambda c: c["sweep"].update(y="4"),
+            "sweep.y:",
+        ),
+    ],
+    ids=["repeated-common-pair", "repeated-length-pair", "non-integer-key", "equal-pair-axis",
+         "unknown-axis"],
+)
+def test_bad_message_ids_are_config_errors_naming_the_section(
+    tmp_path, capsys, command, name, edit, section
+):
+    code, out, err = run([command, "--config", _edited_config(tmp_path, name, edit)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: ") and section in err
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--threads"])
+def test_seed_and_threads_belong_to_simulate_only(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["region-check", "--config", str(CONFIGS / "f4_pairwise_counterexample.json"),
+              flag, "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -11,7 +11,10 @@ from mwrelay.schedule import (
     block_ids,
     build_table,
     format_table,
+    decode_sums,
     message_ids,
+    msg_id,
+    per_message,
     reindex_users,
     verify_props,
 )
@@ -37,6 +40,51 @@ def test_k_sum():
     assert k.k_sums() == [5, 5, 5]
     k2 = SymbolLengths(3, {(1,): 4, (2,): 1, (3,): 2, (1, 2): 1, (1, 3): 1, (2, 3): 2})
     assert k2.k_sums() == [5, 7, 6]
+
+
+@pytest.mark.parametrize(
+    "key, expected",
+    [(2, (2,)), ((2,), (2,)), ("2", (2,)), ((3, 1), (1, 3)), ("3,1", (1, 3)), (" 1, 3 ", (1, 3))],
+)
+def test_msg_id_canonical_spellings(key, expected):
+    assert msg_id(key) == expected
+
+
+@pytest.mark.parametrize("key", [(1, 1), (1, 2, 3), "1,x", "", 2.0, ()])
+def test_msg_id_rejects_other_keys(key):
+    with pytest.raises(ValueError, match="bad message id"):
+        msg_id(key)
+
+
+def test_per_message_completes_and_validates():
+    table = per_message(3, [("2,3", 4), ((1,), 1)], int, "length")
+    assert list(table) == message_ids(3)
+    assert table == {(1,): 1, (2,): 0, (3,): 0, (1, 2): 0, (1, 3): 0, (2, 3): 4}
+    for items, match in (
+        ([((4,), 1)], "unknown message"),
+        ([((1, 2), 1), ((2, 1), 0)], "given twice"),
+        ([((1,), -1)], "negative"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            per_message(3, items, int, "length")
+    assert decode_sums(3, table) == [4, 1, 1]
+
+
+def test_symbol_lengths_reject_a_repeated_pair_and_non_integers():
+    with pytest.raises(ValueError, match="given twice"):
+        SymbolLengths(3, {(1, 2): 1, (2, 1): 0})
+    for bad in (2.7, True):
+        with pytest.raises(ValueError, match="not an integer"):
+            SymbolLengths(3, {(1,): bad})
+    assert SymbolLengths(3, {(1,): 2.0}).k[(1,)] == 2
+
+
+def test_row_symbols_are_user_1s_messages_the_user_lacks():
+    k = SymbolLengths(4, {(1,): 2, (1, 2): 1, (1, 3): 1, (1, 4): 2, (2, 3): 5})
+    assert k.row_symbols(3) == [
+        MessageRef((1,), 0), MessageRef((1,), 1), MessageRef((1, 2), 0),
+        MessageRef((1, 4), 0), MessageRef((1, 4), 1),
+    ]
 
 
 def test_reindex_examples():
