@@ -5,7 +5,6 @@ from .capacity import (
     RateTuple,
     fdfp_feasible,
     max_min_downlink,
-    region_report,
     region_slice,
 )
 from .channel import (

@@ -197,10 +197,6 @@ class RegionEvaluator:
         return RegionReport(srs, self.bound, lower, upper, dist, ach, outer)
 
 
-def region_report(rates: RateTuple, up: UplinkSpec, down: DownlinkSpec) -> RegionReport:
-    return RegionEvaluator(up, down).report(rates)
-
-
 # -- baseline feasibility (common messages split into private parts) -------------
 
 

@@ -43,17 +43,21 @@ class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, not a {type(value).__name__}")
+    return value
+
+
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
+    unknown = set(_object(obj, where)) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
 def _fraction(value, where: str) -> Fraction:
     try:
-        if isinstance(value, str):
-            return Fraction(value)
-        if isinstance(value, (int,)):
+        if isinstance(value, (str, int)) and not isinstance(value, bool):
             return Fraction(value)
         if isinstance(value, float):
             return Fraction(str(value))
@@ -117,7 +121,8 @@ def parse_rates(obj: dict, where: str = "rates") -> RateTuple:
     if "private" not in obj:
         raise ConfigError(f"{where} needs a 'private' list")
     private = [_fraction(v, where) for v in obj["private"]]
-    common = {key: _fraction(v, where) for key, v in (obj.get("common") or {}).items()}
+    common = _object(obj.get("common") or {}, f"{where}.common")
+    common = {key: _fraction(v, where) for key, v in common.items()}
     try:
         return RateTuple.from_lists(private, common)
     except ValueError as exc:
@@ -129,7 +134,7 @@ def parse_lengths(obj: dict) -> SymbolLengths:
     for key in ("num_users", "k"):
         if key not in obj:
             raise ConfigError(f"lengths config is missing {key!r}")
-    k = {key: _integer(v, f"lengths.k[{key!r}]") for key, v in obj["k"].items()}
+    k = {m: _integer(v, f"lengths.k[{m!r}]") for m, v in _object(obj["k"], "lengths.k").items()}
     try:
         return SymbolLengths(_integer(obj["num_users"], "lengths.num_users"), k)
     except ValueError as exc:
@@ -290,9 +295,8 @@ def cmd_simulate(cfg: dict, args) -> int:
     sweep_cfg = cfg.get("sweep")
     if sweep_cfg:
         _require_keys(sweep_cfg, {"axis", "values"}, "sweep")
-        values = sweep_cfg["values"]
-        if sweep_cfg["axis"] == "n":
-            values = [_integer(v, "sweep.values") for v in values]
+        parse = _integer if sweep_cfg["axis"] == "n" else _fraction
+        values = [parse(v, "sweep.values") for v in sweep_cfg["values"]]
         rows = sim.sweep(
             trial_cfg,
             sweep_cfg["axis"],

@@ -193,9 +193,6 @@ class Field:
             e >>= 1
         return out
 
-    def elements(self) -> range:
-        return range(self.order)
-
     # -- digit representation ---------------------------------------------------
 
     def digits(self, a) -> np.ndarray:
@@ -224,18 +221,6 @@ class Field:
 
     def rows_from_digits(self, d: np.ndarray) -> np.ndarray:
         return self.from_digits(d.reshape(d.shape[0], d.shape[1] // self.m, self.m))
-
-    # -- serialization / identity -----------------------------------------------
-
-    def to_json(self) -> dict:
-        out = {"order": self.order}
-        if self.reduction_poly is not None:
-            out["reduction_poly"] = list(self.reduction_poly)
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Field":
-        return cls(int(obj["order"]), obj.get("reduction_poly"))
 
     def __eq__(self, other):
         return (

@@ -202,24 +202,6 @@ class MessageTable:
             ],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "MessageTable":
-        lengths = SymbolLengths(
-            int(obj["num_users"]),
-            {key.replace("_", ","): v for key, v in obj["lengths"].items()},
-        )
-        blocks = []
-        for b in obj["blocks"]:
-            cells = {}
-            for row, cell in b["cells"].items():
-                cells[int(row)] = [
-                    None if r is None else MessageRef(msg_id(r[0]), int(r[1])) for r in cell
-                ]
-            blocks.append(
-                Block(msg_id(b["msg"]), int(b["width"]), tuple(b["star_rows"]), cells)
-            )
-        return cls(int(obj["num_users"]), lengths, blocks)
-
 
 def build_table(lengths: SymbolLengths) -> MessageTable:
     """Construct the schedule table for reindexed lengths.

@@ -52,19 +52,6 @@ class SimplifiedColumn:
                 seen.append(ref)
         return seen
 
-    @property
-    def top(self) -> MessageRef | None:
-        """Canonical [top over bottom] view: the lower starred row."""
-        return self.cells[self.rows[0]]
-
-    @property
-    def bottom(self) -> MessageRef | None:
-        """The higher starred row's symbol; None when normalized away."""
-        if len(self.rows) == 1:
-            return None
-        b = self.cells[self.rows[1]]
-        return None if b == self.cells[self.rows[0]] else b
-
     def view(self, a: int) -> tuple[MessageRef | None, MessageRef | None]:
         """(top, bottom) with the top taken from row ``a``."""
         top = self.cells.get(a)
@@ -103,22 +90,15 @@ class SwapRecord:
         )
 
 
-def run_shuffle(
-    cols: list[SimplifiedColumn], user_order: list[int] | None = None
-) -> tuple[list[SimplifiedColumn], list[SwapRecord]]:
+def run_shuffle(cols: list[SimplifiedColumn]) -> tuple[list[SimplifiedColumn], list[SwapRecord]]:
     """Repeat per-user swap passes until a full cycle makes no swap.
 
     Returns fresh columns plus the swap log; the input is not mutated.
-    Users are visited in ascending order unless ``user_order`` says
-    otherwise; within a pass, the earliest column whose bottom symbol
-    also tops another column is fixed first.
+    Users are visited in ascending order; within a pass, the earliest
+    column whose bottom symbol also tops another column is fixed first.
     """
     cols = copy.deepcopy(cols)
     users = sorted({r for col in cols for r in col.rows})
-    if user_order is not None:
-        if not set(user_order) >= set(users):
-            raise ValueError("user_order must cover every starred row")
-        users = [u for u in user_order if u in set(users)]
     total = len(cols)
     log: list[SwapRecord] = []
     cycle = 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,21 +24,30 @@ from .schedule import SymbolLengths, build_table, reindex_users
 from .shuffle import run_shuffle, simplify
 
 
-def quantize_lengths(rates: RateTuple, n: int, field_order: int) -> SymbolLengths:
-    """Integer symbol lengths k_I = floor(n R_I / log2 F).
+def _symbols(order: int, bits: Fraction) -> int:
+    """The largest k with order^k <= 2^bits, decided in integers.
 
-    Exact when the field order is a power of two (integer log); float
-    division otherwise.
+    lo 2^a <= order^(2^j) <= hi 2^b with lo, hi cut to ``width`` bits, so bit
+    lengths bracket 2^j log2(order): exactly for a power of two, else the
+    bracket narrows with j up to width / 2, then restarts at double width.
     """
-    k = {}
-    if field_order & (field_order - 1) == 0:
-        m = field_order.bit_length() - 1
-        for key, r in rates.rates.items():
-            k[key] = int(n * r / m)  # Fraction floor: int() truncates toward 0
-    else:
-        log2f = math.log2(field_order)
-        for key, r in rates.rates.items():
-            k[key] = int(math.floor(n * float(r) / log2f))
+    width = 64
+    while True:
+        lo, a, hi, b = order, 0, order, 0
+        for j in range(width // 2):
+            low, high = a + lo.bit_length() - 1, b + hi.bit_length() - (hi & (hi - 1) == 0)
+            k = math.floor(bits * 2**j / high)
+            if (k + 1) * low > bits * 2**j:
+                return k
+            lo, hi = lo * lo, hi * hi
+            c, d = max(lo.bit_length() - width, 0), max(hi.bit_length() - width, 0)
+            lo, a, hi, b = lo >> c, 2 * a + c, -(-hi >> d), 2 * b + d
+        width *= 2
+
+
+def quantize_lengths(rates: RateTuple, n: int, field_order: int) -> SymbolLengths:
+    """Symbol lengths: k_I is the largest k with F^(k b) <= 2^(n a) for R_I = a/b."""
+    k = {key: _symbols(field_order, n * r) for key, r in rates.rates.items()}
     return SymbolLengths(rates.num_users, k)
 
 
@@ -51,8 +61,6 @@ class TrialConfig:
     master_seed: int
     rates: RateTuple | None = None
     lengths: SymbolLengths | None = None
-    #: Downlink codebook input distribution; uniform when omitted.
-    input_dist: np.ndarray | None = None
 
     def __post_init__(self):
         if (self.rates is None) == (self.lengths is None):
@@ -61,8 +69,6 @@ class TrialConfig:
             raise ValueError("block lengths must be positive")
         if self.trials <= 0:
             raise ValueError("trial count must be positive")
-        if self.input_dist is None:
-            self.input_dist = np.full(self.down.input_size, 1.0 / self.down.input_size)
 
     def resolved_lengths(self) -> SymbolLengths:
         if self.lengths is not None:
@@ -85,10 +91,11 @@ class ErrorStats:
         return cls(trials, failures, failures / trials, lo, hi, redraws)
 
 
-def wilson_interval(failures: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = 1.959963984540054  # two-sided 95% standard normal quantile
     p = failures / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -119,7 +126,7 @@ def _run_trial(
     )
 
     key = stream(cfg.master_seed, "codebook", t).integers(0, 2**64, dtype=np.uint64)
-    codebook = codec.DownlinkCodebook(cfg.input_dist, cfg.n_dl, key)
+    codebook = codec.DownlinkCodebook(np.full(down.input_size, 1 / down.input_size), cfg.n_dl, key)
     x0 = codebook.codeword(word_hat)
 
     for a in range(1, num_users + 1):

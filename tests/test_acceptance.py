@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from mwrelay import gf
-from mwrelay.capacity import RateTuple, fdfp_feasible, region_report
+from mwrelay.capacity import RateTuple, RegionEvaluator, fdfp_feasible
 from mwrelay.channel import UplinkSpec, identity_downlink, uplink_bound
 from mwrelay.cli import main
 from mwrelay.gf import Field
@@ -49,7 +49,7 @@ def test_criterion_1_counterexample_separation():
         {(1, 2): Fraction(19, 100), (1, 3): Fraction(14, 100), (2, 3): Fraction(14, 100)},
     )
     try:
-        rep = region_report(rates, up, down)
+        rep = RegionEvaluator(up, down).report(rates)
         assert rates.sum_rates() == [Fraction(23, 25), Fraction(23, 25), Fraction(97, 100)]
         assert all(s < Fraction(1) for s in rates.sum_rates())  # exact rational compare
         assert rep.uplink_bound == 1.0

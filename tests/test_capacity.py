@@ -12,7 +12,6 @@ from mwrelay.capacity import (
     RegionEvaluator,
     fdfp_feasible,
     max_min_downlink,
-    region_report,
     region_slice,
 )
 from mwrelay.channel import DownlinkSpec, UplinkSpec, identity_downlink, mutual_info, uplink_bound
@@ -215,7 +214,7 @@ def test_outer_verdict_follows_the_upper_bound(monkeypatch):
 def test_check_achievable_counterexample():
     up, down = counterexample_channel()
     r = counterexample_rates()
-    rep = region_report(r, up, down)
+    rep = RegionEvaluator(up, down).report(r)
     assert rep.achievable and rep.inside_outer
     assert rep.uplink_bound == 1.0
     assert rep.margin == pytest.approx(0.03, abs=1e-9)

@@ -1,8 +1,10 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from mwrelay import sim
 from mwrelay.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -88,10 +90,7 @@ def test_schedule_build(tmp_path, capsys):
     assert "properties: all hold" in out
     assert "block (2,3)" in out
     dumped = json.loads(json_out.read_text())
-    from mwrelay.schedule import MessageTable
-
-    table = MessageTable.from_json(dumped)
-    assert table.total_cols == 5
+    assert sum(b["width"] for b in dumped["blocks"]) == 5
 
 
 def test_simulate_zero_noise(tmp_path, capsys):
@@ -299,9 +298,33 @@ def _edited_config(tmp_path, name, edit):
             lambda c: c["sweep"].update(y="4"),
             "sweep.y:",
         ),
+        (
+            "region-check",
+            "f4_pairwise_counterexample.json",
+            lambda c: c["rates"].update(private=[True, "39/100", "39/100"]),
+            "in rates",
+        ),
+        (
+            "region-check",
+            "f4_pairwise_counterexample.json",
+            lambda c: c["channel"].update(noise_pmf=[True, False, False, False]),
+            "in noise_pmf",
+        ),
+        (
+            "region-check",
+            "f4_pairwise_counterexample.json",
+            lambda c: c["rates"].update(common=["1,2"]),
+            "rates.common must be a JSON object",
+        ),
+        (
+            "schedule-build",
+            "schedule_l3.json",
+            lambda c: c["lengths"].update(k=["1"]),
+            "lengths.k must be a JSON object",
+        ),
     ],
     ids=["repeated-common-pair", "repeated-length-pair", "non-integer-key", "equal-pair-axis",
-         "unknown-axis"],
+         "unknown-axis", "bool-rate", "bool-probability", "common-list", "k-list"],
 )
 def test_bad_message_ids_are_config_errors_naming_the_section(
     tmp_path, capsys, command, name, edit, section
@@ -309,6 +332,30 @@ def test_bad_message_ids_are_config_errors_naming_the_section(
     code, out, err = run([command, "--config", _edited_config(tmp_path, name, edit)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("config error: ") and section in err
+
+
+def test_a_top_level_list_config_is_a_config_error(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text('["channel", "rates"]')
+    code, out, err = run(["region-check", "--config", p], capsys)
+    assert code == 2 and out == ""
+    assert "config error: config must be a JSON object" in err
+
+
+def test_rate_scale_sweep_values_are_parsed_exactly(tmp_path, capsys, monkeypatch):
+    # As a float, 0.3 scales rates 1/10 at n = 100 over GF(2) to k = 2, not 3.
+    seen = []
+    monkeypatch.setattr(sim, "sweep", lambda cfg, axis, values, **kw: seen.extend(values) or [])
+
+    def edit(c):
+        del c["lengths"]
+        c.update(n=100, sweep={"axis": "rate_scale", "values": [0.3, "0.3"]})
+        c["rates"] = {"private": ["1/10", "1/10", "1/10"]}
+
+    path = _edited_config(tmp_path, "noisy_uplink_small.json", edit)
+    code, _, _ = run(["simulate", "--config", path], capsys)
+    assert code == 0
+    assert seen == [Fraction(3, 10)] * 2 and all(isinstance(v, Fraction) for v in seen)
 
 
 @pytest.mark.parametrize("flag", ["--seed", "--threads"])

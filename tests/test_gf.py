@@ -56,15 +56,15 @@ def test_mul_examples():
 def test_sub_is_add_inverse():
     for order in SMALL_FIELDS:
         f = Field(order)
-        for a in f.elements():
-            for b in f.elements():
+        for a in range(f.order):
+            for b in range(f.order):
                 assert f.add(f.sub(a, b), b) == a
 
 
 def test_field_axioms_exhaustive_small():
     for order in SMALL_FIELDS:
         f = Field(order)
-        elems = list(f.elements())
+        elems = list(range(f.order))
         for a in elems:
             assert f.add(a, 0) == a
             assert f.mul(a, 1) == a
@@ -239,12 +239,6 @@ def test_mat_mul_float64_path_is_exact():
     u = random_matrix(f, 3, 300, rng)
     want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % 251 for col in g.T] for row in u]
     assert mat_mul(f, u, g).tolist() == want
-
-
-def test_json_round_trip():
-    for order in (2, 4, 9, 16):
-        f = Field(order)
-        assert Field.from_json(f.to_json()) == f
 
 
 # -- independent oracle: polynomial arithmetic over GF(p) ------------------------

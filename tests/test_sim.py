@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -27,14 +29,33 @@ def zero_noise_cfg(trials=40, seed=5) -> TrialConfig:
 
 
 def test_quantize_lengths():
-    from fractions import Fraction
-
     r = RateTuple.from_lists([Fraction(39, 100)] * 3, {(1, 2): Fraction(19, 100)})
     k = quantize_lengths(r, 100, 4)
     # floor(100 * 0.39 / 2) = 19, floor(100 * 0.19 / 2) = 9
     assert k.k[(1,)] == 19 and k.k[(1, 2)] == 9 and k.k[(2, 3)] == 0
     k2 = quantize_lengths(r, 100, 2)
     assert k2.k[(1,)] == 39
+
+
+def test_quantize_lengths_is_the_exact_integer_rule():
+    # For R = a/b, k is the largest integer with F^(k b) <= 2^(n a).
+    def brute(order, n, r):
+        k = 0
+        while order ** ((k + 1) * r.denominator) <= 2 ** (n * r.numerator):
+            k += 1
+        return k
+
+    grid = [Fraction(i, d) for d in (1, 3, 10, 97) for i in range(0, 2 * d + 1, max(1, d // 10))]
+    for order in (2, 4, 8, 3, 5, 9, 27):
+        m = order.bit_length() - 1
+        for n in (1, 7, 40):
+            for r in grid:
+                k = quantize_lengths(RateTuple.from_lists([r, 0]), n, order).k[(1,)]
+                assert k == (int(n * r / m) if order == 2**m else brute(order, n, r)), (order, n, r)
+    # log2 3 = 1.5849625007211561814..., between these two rates; a float
+    # floor of n R / log2 3 gives one symbol for both.
+    for text, want in (("1.584962500721156", 0), ("1.584962500721157", 1)):
+        assert quantize_lengths(RateTuple.from_lists([Fraction(text), 0]), 1, 3).k[(1,)] == want
 
 
 def test_trial_config_validation():
