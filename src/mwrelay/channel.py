@@ -116,30 +116,26 @@ def mutual_info(dist: np.ndarray, w: np.ndarray) -> float:
 
 def sample_uplink_noise(up: UplinkSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. noise symbols drawn from the uplink noise law."""
-    return _sample_categorical(up.noise_pmf, n, rng)
+    return _draw(up.noise_pmf[None, :], np.zeros(n, dtype=np.int64), rng)
 
 
 def sample_downlink(
     down: DownlinkSpec, a: int, x0: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """User ``a``'s outputs for the relay input sequence ``x0``."""
-    w = down.channel(a)
-    x0 = np.asarray(x0, dtype=np.int64)
-    if x0.size == 0:
+    return _draw(down.channel(a), np.asarray(x0, dtype=np.int64), rng)
+
+
+def _draw(w: np.ndarray, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One output per input in ``x`` through the rows of ``w``, by inverse CDF.
+
+    Each draw is capped at its row's last positive-probability symbol,
+    which float roundoff in the cumulative sum could otherwise pass.
+    """
+    if x.size == 0:
         return np.zeros(0, dtype=np.int64)
     cdf = np.cumsum(w, axis=1)
-    # Last positive-probability symbol per row, the cap for float roundoff.
     last = (w.shape[1] - 1) - np.argmax(w[:, ::-1] > 0, axis=1)
-    u = rng.random(x0.size)
-    out = np.sum(cdf[x0] < u[:, None], axis=1).astype(np.int64)
-    return np.minimum(out, last[x0])
-
-
-def _sample_categorical(pmf: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    cdf = np.cumsum(pmf)
-    last = int(np.nonzero(pmf)[0][-1])
-    u = rng.random(n)
-    out = np.sum(cdf[None, :] < u[:, None], axis=1).astype(np.int64)
-    return np.minimum(out, last)
+    u = rng.random(x.size)
+    out = np.sum(cdf[x] < u[:, None], axis=1).astype(np.int64)
+    return np.minimum(out, last[x])

@@ -49,6 +49,12 @@ def _object(value, where: str) -> dict:
     return value
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a JSON list, not a {type(value).__name__}")
+    return value
+
+
 def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
     unknown = set(_object(obj, where)) - allowed
     if unknown:
@@ -75,7 +81,7 @@ def _integer(value, where: str) -> int:
 
 
 def _probability_list(values, where: str) -> np.ndarray:
-    fracs = [_fraction(v, where) for v in values]
+    fracs = [_fraction(v, where) for v in _list(values, where)]
     total = sum(fracs, Fraction(0))
     if total <= 0:
         raise ConfigError(f"probabilities in {where} must have a positive sum")
@@ -84,8 +90,11 @@ def _probability_list(values, where: str) -> np.ndarray:
 
 def parse_field(obj: dict) -> Field:
     _require_keys(obj, {"order", "reduction_poly"}, "field")
+    poly = obj.get("reduction_poly")
+    if poly is not None:
+        poly = [_integer(c, "field.reduction_poly") for c in _list(poly, "field.reduction_poly")]
     try:
-        return Field(_integer(obj["order"], "field.order"), obj.get("reduction_poly"))
+        return Field(_integer(obj["order"], "field.order"), poly)
     except ValueError as exc:
         raise ConfigError(f"bad field spec: {exc}") from exc
 
@@ -104,9 +113,10 @@ def parse_channel(obj: dict) -> tuple[UplinkSpec, DownlinkSpec]:
     dl = obj["downlink"]
     _require_keys(dl, {"input_size", "users"}, "downlink")
     users = []
-    for i, u in enumerate(dl.get("users", []), start=1):
+    for i, u in enumerate(_list(dl.get("users", []), "downlink.users"), start=1):
         _require_keys(u, {"matrix"}, f"downlink user {i}")
-        rows = [_probability_list(row, f"downlink user {i}") for row in u["matrix"]]
+        where = f"downlink user {i} matrix"
+        rows = [_probability_list(row, where) for row in _list(u["matrix"], where)]
         users.append(np.stack(rows))
     try:
         down = DownlinkSpec(_integer(dl["input_size"], "downlink.input_size"), tuple(users))
@@ -120,7 +130,7 @@ def parse_rates(obj: dict, where: str = "rates") -> RateTuple:
     _require_keys(obj, {"private", "common"}, where)
     if "private" not in obj:
         raise ConfigError(f"{where} needs a 'private' list")
-    private = [_fraction(v, where) for v in obj["private"]]
+    private = [_fraction(v, where) for v in _list(obj["private"], f"{where}.private")]
     common = _object(obj.get("common") or {}, f"{where}.common")
     common = {key: _fraction(v, where) for key, v in common.items()}
     try:
@@ -195,7 +205,7 @@ def cmd_fdfp_check(cfg: dict, args) -> int:
     _require_keys(cfg, {"channel", "rates", "caps"}, "config")
     rates = parse_rates(cfg.get("rates", {}))
     if "caps" in cfg:
-        caps = [_fraction(v, "caps") for v in cfg["caps"]]
+        caps = [_fraction(v, "caps") for v in _list(cfg["caps"], "caps")]
     elif "channel" in cfg:
         up, down = parse_channel(cfg["channel"])
         caps = _default_caps(up, down)
@@ -296,7 +306,7 @@ def cmd_simulate(cfg: dict, args) -> int:
     if sweep_cfg:
         _require_keys(sweep_cfg, {"axis", "values"}, "sweep")
         parse = _integer if sweep_cfg["axis"] == "n" else _fraction
-        values = [parse(v, "sweep.values") for v in sweep_cfg["values"]]
+        values = [parse(v, "sweep.values") for v in _list(sweep_cfg["values"], "sweep.values")]
         rows = sim.sweep(
             trial_cfg,
             sweep_cfg["axis"],

@@ -22,7 +22,7 @@ it lacks from the decoded word's witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .channel import DownlinkSpec, UplinkSpec, sample_uplink_noise, validate_pmf
 from .gf import Field
 from .rng import stream  # noqa: F401  (bench/tracing.py wraps codec.stream)
 from .schedule import MessageTable, MsgId, message_ids
-from .shuffle import SimplifiedColumn
+from .shuffle import ShuffleError, SimplifiedColumn
 
 #: Largest candidate enumeration any exact-ML step will attempt.
 ENUMERATION_LIMIT = 2**20
@@ -41,10 +41,6 @@ Messages = dict[MsgId, np.ndarray]
 
 class CapabilityError(RuntimeError):
     """A requested instance exceeds the desk-scale enumeration bounds."""
-
-
-class ShuffleSolveError(RuntimeError):
-    """The post-shuffle system was not uniquely solvable (a bug)."""
 
 
 @dataclass
@@ -80,41 +76,36 @@ def allocate_block_lengths(table: MessageTable, n: int) -> dict[MsgId, int]:
     return out
 
 
-def full_rank_generator(
-    field: Field, k: int, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, int]:
-    """A uniform k-by-n matrix of rank k, and the number of redraws.
+def block_code(
+    field: Field, k: int, n: int, transmitters: tuple[int, ...], rng: np.random.Generator
+) -> tuple[BlockCode, int]:
+    """A uniform k-by-n generator of rank k and one dither per transmitter.
 
-    Rank-deficient draws from ``rng`` are discarded and counted.
+    Rank-deficient draws from ``rng`` are discarded and counted; the
+    dithers are drawn next, in ``transmitters`` order.  Returns the code
+    and the number of redraws.
     """
     redraws = 0
     g = gf.random_matrix(field, k, n, rng)
     while gf.rank(field, g) < k:
         redraws += 1
         g = gf.random_matrix(field, k, n, rng)
-    return g, redraws
+    return BlockCode(k, n, g, {t: gf.random_vec(field, n, rng) for t in transmitters}), redraws
 
 
 def make_block_codes(
     table: MessageTable, n: int, field: Field, rng: np.random.Generator
 ) -> tuple[dict[MsgId, BlockCode], int]:
-    """Draw per-block full-rank codes (and dithers for user 1 and the owner).
+    """Draw per-block full-rank codes (and dithers for the owner and user 1).
 
     Returns the codes and the count of rank-deficient generator matrices
     redrawn, for reporting.
     """
     lengths = allocate_block_lengths(table, n)
-    codes = {}
-    redraws = 0
+    codes, redraws = {}, 0
     for b in table.blocks:
-        k, nb = b.width, lengths[b.msg]
-        g, r = full_rank_generator(field, k, nb, rng)
+        codes[b.msg], r = block_code(field, b.width, lengths[b.msg], (block_owner(b.msg), 1), rng)
         redraws += r
-        dithers = {
-            block_owner(b.msg): gf.random_vec(field, nb, rng),
-            1: gf.random_vec(field, nb, rng),
-        }
-        codes[b.msg] = BlockCode(k, nb, g, dithers)
     return codes, redraws
 
 
@@ -166,6 +157,22 @@ def relay_decode_sum(
         logp = np.log(validate_pmf(up.noise_pmf))
     scores = logp[noise].sum(axis=1)
     return cands[int(np.argmax(scores))].copy()
+
+
+def send_block(
+    code: BlockCode, inputs: dict[int, np.ndarray], up: UplinkSpec, rng: np.random.Generator
+) -> np.ndarray:
+    """One block over the noisy uplink: the relay's estimate of the input sum.
+
+    ``inputs`` maps each transmitter to its message; each sends its
+    dithered codeword, the channel adds noise drawn from ``rng``, and
+    the relay decodes with the transmitters' dither sum.
+    """
+    field = up.field
+    y0 = sample_uplink_noise(up, code.n, rng)
+    for t, u in inputs.items():
+        y0 = field.add(y0, encode_uplink(u, code, t, field))
+    return relay_decode_sum(y0, code, reduce(field.add, [code.dithers[t] for t in inputs]), up)
 
 
 # -- the compiled relay map ------------------------------------------------------
@@ -236,7 +243,7 @@ def compile_scheme(field: Field, table: MessageTable, cols: list[SimplifiedColum
     symbols forward a single copy; two distinct symbols forward their
     field sum; an empty column forwards zero.  Raises ``CapabilityError``
     when a user's image exceeds the enumeration bound and
-    ``ShuffleSolveError`` when the word does not determine some user's
+    ``ShuffleError`` when the word does not determine some user's
     unknown messages.
     """
     lengths = table.lengths
@@ -264,7 +271,7 @@ def compile_scheme(field: Field, table: MessageTable, cols: list[SimplifiedColum
         keys = _word_keys(field, image)
         order = np.argsort(keys)
         if np.any(np.diff(keys[order]) == 0):
-            raise ShuffleSolveError(
+            raise ShuffleError(
                 f"user {a}: the relay word does not determine its unknown messages;"
                 f" shuffle guarantees violated"
             )
@@ -292,23 +299,12 @@ def uplink_round(
     up: UplinkSpec,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Transmit every block over the noisy uplink; relay-decode each sum.
-
-    Returns the relay's estimate of the concatenated sums.
-    """
-    field = scheme.field
-    v_all = build_v(scheme, messages)
-    parts = []
-    for b, at in scheme.table.block_offsets().items():
-        code = codes[b]
-        owner = block_owner(b)
-        x_owner = encode_uplink(messages[b], code, owner, field)
-        x_one = encode_uplink(v_all[at : at + code.k], code, 1, field)
-        noise = sample_uplink_noise(up, code.n, rng)
-        y0 = field.add(field.add(x_owner, x_one), noise)
-        dither_sum = field.add(code.dithers[owner], code.dithers[1])
-        parts.append(relay_decode_sum(y0, code, dither_sum, up))
-    return np.concatenate(parts)
+    """The relay's estimate of the concatenated block sums: one ``send_block`` a block."""
+    v = build_v(scheme, messages)
+    return np.concatenate([
+        send_block(codes[b], {block_owner(b): messages[b], 1: v[at : at + codes[b].k]}, up, rng)
+        for b, at in scheme.table.block_offsets().items()
+    ])
 
 
 # -- downlink ---------------------------------------------------------------------

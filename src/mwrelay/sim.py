@@ -18,7 +18,7 @@ import numpy as np
 
 from . import codec, gf
 from .capacity import RateTuple
-from .channel import DownlinkSpec, UplinkSpec, sample_downlink, sample_uplink_noise
+from .channel import DownlinkSpec, UplinkSpec, sample_downlink
 from .rng import stream
 from .schedule import SymbolLengths, build_table, reindex_users
 from .shuffle import run_shuffle, simplify
@@ -111,15 +111,13 @@ def _run_trial(
     cfg: TrialConfig, down: DownlinkSpec, scheme: codec.Scheme, t: int
 ) -> tuple[bool, int]:
     field = cfg.up.field
-    table = scheme.table
-    lengths = table.lengths
-    num_users = lengths.num_users
+    lengths = scheme.table.lengths
 
     msg_rng = stream(cfg.master_seed, "messages", t)
     messages = {m: gf.random_vec(field, lengths.k[m], msg_rng) for m in scheme.ids}
 
     codes, redraws = codec.make_block_codes(
-        table, cfg.n, field, stream(cfg.master_seed, "codes", t)
+        scheme.table, cfg.n, field, stream(cfg.master_seed, "codes", t)
     )
     word_hat = codec.uplink_round(
         scheme, messages, codes, cfg.up, stream(cfg.master_seed, "uplink-noise", t)
@@ -129,7 +127,7 @@ def _run_trial(
     codebook = codec.DownlinkCodebook(np.full(down.input_size, 1 / down.input_size), cfg.n_dl, key)
     x0 = codebook.codeword(word_hat)
 
-    for a in range(1, num_users + 1):
+    for a in range(1, lengths.num_users + 1):
         known = {m: v for m, v in messages.items() if a in m}
         cands = codec.candidate_set(scheme, a, known)
         y_a = sample_downlink(down, a, x0, stream(cfg.master_seed, "downlink", t, a))
@@ -141,18 +139,23 @@ def _run_trial(
     return False, redraws
 
 
-def _map(job, count: int, threads: int) -> list:
-    """``job(t)`` for t in range(count), in order, on up to ``threads`` threads."""
+def _tally(job, trials: int, threads: int) -> ErrorStats:
+    """Failures and redraws of ``job(t) -> (failed, redraws)`` over all trials.
+
+    Runs on up to ``threads`` threads; each trial draws from its own
+    streams, so the counts do not depend on the thread count.
+    """
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(job, range(count)))
-    return [job(t) for t in range(count)]
+            results = list(pool.map(job, range(trials)))
+    else:
+        results = [job(t) for t in range(trials)]
+    return ErrorStats.from_counts(sum(f for f, _ in results), trials, sum(r for _, r in results))
 
 
 def run_trials(cfg: TrialConfig, threads: int = 1) -> ErrorStats:
     """Estimate the end-to-end block error probability."""
-    lengths_raw = cfg.resolved_lengths()
-    order, lengths = reindex_users(lengths_raw)
+    order, lengths = reindex_users(cfg.resolved_lengths())
     if cfg.down.num_users != lengths.num_users:
         raise ValueError("downlink and rate tuple disagree on the user count")
     # Relabel the downlink to match the reindexed users.
@@ -166,10 +169,7 @@ def run_trials(cfg: TrialConfig, threads: int = 1) -> ErrorStats:
     cols, _ = run_shuffle(simplify(table))
     scheme = codec.compile_scheme(cfg.up.field, table, cols)
 
-    results = _map(lambda t: _run_trial(cfg, down, scheme, t), cfg.trials, threads)
-    failures = sum(1 for fail, _ in results if fail)
-    redraws = sum(r for _, r in results)
-    return ErrorStats.from_counts(failures, cfg.trials, redraws)
+    return _tally(lambda t: _run_trial(cfg, down, scheme, t), cfg.trials, threads)
 
 
 def sweep(
@@ -205,13 +205,12 @@ def sweep(
 def sum_decode_trials(
     up: UplinkSpec, k: int, n: int, trials: int, master_seed: int, threads: int = 1
 ) -> ErrorStats:
-    """Relay-side experiment: ML decoding of a two-transmitter sum.
+    """Relay-side experiment: one uplink block carrying a two-user sum.
 
-    Per trial, a fresh full-row-rank generator matrix and dithers are
-    drawn (rank-deficient draws are expurgated and counted), two uniform
-    messages are encoded and sent through the additive-noise uplink, and
-    a failure is counted when the relay's ML estimate differs from the
-    true field sum of the messages.
+    Per trial, ``codec.block_code`` draws a fresh full-rank code with
+    dithers for transmitters 1 and 2 (rank-deficient draws are counted),
+    two uniform messages go through ``codec.send_block``, and a failure
+    is counted when the relay's ML estimate differs from their field sum.
     """
     field = up.field
     if k > n:
@@ -219,20 +218,9 @@ def sum_decode_trials(
 
     def job(t: int) -> tuple[bool, int]:
         rng = stream(master_seed, "sum-decode", t)
-        g, redraws = codec.full_rank_generator(field, k, n, rng)
-        q1 = gf.random_vec(field, n, rng)
-        q2 = gf.random_vec(field, n, rng)
-        u1 = gf.random_vec(field, k, rng)
-        u2 = gf.random_vec(field, k, rng)
-        code = codec.BlockCode(k, n, g, {1: q1, 2: q2})
-        x1 = codec.encode_uplink(u1, code, 1, field)
-        x2 = codec.encode_uplink(u2, code, 2, field)
-        noise = stream(master_seed, "sum-decode-noise", t)
-        y0 = field.add(field.add(x1, x2), sample_uplink_noise(up, n, noise))
-        est = codec.relay_decode_sum(y0, code, field.add(q1, q2), up)
-        return not np.array_equal(est, field.add(u1, u2)), redraws
+        code, redraws = codec.block_code(field, k, n, (1, 2), rng)
+        u = {1: gf.random_vec(field, k, rng), 2: gf.random_vec(field, k, rng)}
+        est = codec.send_block(code, u, up, stream(master_seed, "sum-decode-noise", t))
+        return not np.array_equal(est, field.add(u[1], u[2])), redraws
 
-    results = _map(job, trials, threads)
-    fails = sum(1 for f, _ in results if f)
-    redraws = sum(r for _, r in results)
-    return ErrorStats.from_counts(fails, trials, redraws)
+    return _tally(job, trials, threads)

@@ -128,6 +128,35 @@ def test_sampling_deterministic_and_degenerate():
     assert np.array_equal(y, x0)
 
 
+def test_samplers_are_pinned_on_seeded_streams():
+    # Zero-probability symbols in the middle and at the end of a row.
+    up = UplinkSpec(Field(5), np.array([0.4, 0.0, 0.3, 0.3, 0.0]))
+    assert sample_uplink_noise(up, 16, stream(3, "pin-up")).tolist() == [
+        2, 0, 0, 3, 2, 2, 3, 0, 0, 3, 3, 0, 3, 2, 3, 2,
+    ]
+    w = np.array([[0.7, 0.0, 0.3, 0.0], [0.0, 0.5, 0.25, 0.25], [0.1, 0.2, 0.7, 0.0]])
+    down = DownlinkSpec(3, (w, np.eye(3, 4)))
+    x0 = np.array([0, 1, 2, 2, 1, 0, 0, 1, 2, 1, 0, 2, 1, 1, 0, 2])
+    assert sample_downlink(down, 1, x0, stream(3, "pin-down")).tolist() == [
+        0, 1, 1, 2, 1, 0, 2, 2, 2, 1, 0, 0, 1, 1, 0, 2,
+    ]
+    assert sample_downlink(down, 2, x0, stream(3, "pin-down")).tolist() == x0.tolist()
+    assert sample_uplink_noise(up, 0, stream(3, "pin-up")).size == 0
+
+
+def test_draws_stop_at_the_last_positive_symbol():
+    # Rows summing to 1 - 1e-13 pass validation; a uniform above that sum
+    # would otherwise land past the last positive-probability symbol.
+    class Top:
+        def random(self, n):
+            return np.full(n, np.nextafter(1.0, 0.0))
+
+    up = UplinkSpec(Field(4), np.array([0.5, 0.5 - 1e-13, 0.0, 0.0]))
+    assert sample_uplink_noise(up, 3, Top()).tolist() == [1, 1, 1]
+    w = np.array([[0.5, 0.5 - 1e-13, 0.0], [1.0 - 1e-13, 0.0, 0.0]])
+    assert sample_downlink(DownlinkSpec(2, (w,)), 1, np.array([0, 1]), Top()).tolist() == [1, 0]
+
+
 def test_sampling_frequencies_multinomial():
     f4 = Field(4)
     pmf = np.array([0.5, 0.3, 0.2, 0.0])

@@ -322,9 +322,60 @@ def _edited_config(tmp_path, name, edit):
             lambda c: c["lengths"].update(k=["1"]),
             "lengths.k must be a JSON object",
         ),
+        (
+            "region-check",
+            "f4_pairwise_counterexample.json",
+            lambda c: c["rates"].update(private="000"),
+            "rates.private must be a JSON list",
+        ),
+        (
+            "region-check",
+            "f4_pairwise_counterexample.json",
+            lambda c: c["channel"].update(noise_pmf="1000"),
+            "noise_pmf must be a JSON list",
+        ),
+        (
+            "region-check",
+            "f4_pairwise_counterexample.json",
+            lambda c: c["channel"]["field"].update(reduction_poly="111"),
+            "field.reduction_poly must be a JSON list",
+        ),
+        (
+            "region-check",
+            "f4_pairwise_counterexample.json",
+            lambda c: c["channel"]["field"].update(reduction_poly=[1.5, 1, True]),
+            "field.reduction_poly must be an integer",
+        ),
+        (
+            "region-check",
+            "f4_pairwise_counterexample.json",
+            lambda c: c["channel"]["downlink"]["users"][0].update(matrix=["10", "01"]),
+            "downlink user 1 matrix must be a JSON list",
+        ),
+        (
+            "region-check",
+            "f4_pairwise_counterexample.json",
+            lambda c: c["channel"]["downlink"].update(users="abc"),
+            "downlink.users must be a JSON list",
+        ),
+        (
+            "fdfp-check",
+            "f4_pairwise_counterexample.json",
+            lambda c: c.update(caps="111"),
+            "caps must be a JSON list",
+        ),
+        (
+            "simulate",
+            "zero_noise_roundtrip.json",
+            lambda c: c.update(sweep={"axis": "n", "values": "88"}),
+            "sweep.values must be a JSON list",
+        ),
     ],
     ids=["repeated-common-pair", "repeated-length-pair", "non-integer-key", "equal-pair-axis",
-         "unknown-axis", "bool-rate", "bool-probability", "common-list", "k-list"],
+         "unknown-axis", "bool-rate", "bool-probability", "common-list", "k-list",
+         "private-string", "noise-pmf-string", "reduction-poly-string", "reduction-poly-float",
+         "matrix-row-strings",
+         "users-string", "caps-string", "sweep-values-string"],
 )
 def test_bad_message_ids_are_config_errors_naming_the_section(
     tmp_path, capsys, command, name, edit, section

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from mwrelay import gf
+from mwrelay.codec import compile_scheme
 from mwrelay.gf import Field
 from mwrelay.rng import stream
 from mwrelay.schedule import MessageRef, SymbolLengths, build_table, message_ids, reindex_users
 from mwrelay.shuffle import (
+    ShuffleError,
     SimplifiedColumn,
     decode_matrix,
     resolved_count,
@@ -202,3 +204,17 @@ def test_decode_matrix_rejects_user_one():
     cols = simplify(t)
     with pytest.raises(ValueError):
         decode_matrix(cols, 1, t)
+
+
+def test_the_shuffle_is_needed_for_the_relay_word_to_decode():
+    # Already in reindexed order; one swap fixes user 2's view.
+    k = {(1,): 0, (2,): 0, (3,): 2, (4,): 0, (1, 2): 1, (1, 3): 1, (1, 4): 2,
+         (2, 3): 1, (2, 4): 2, (3, 4): 1}
+    lengths = SymbolLengths(4, k)
+    assert reindex_users(lengths)[0] == [1, 2, 3, 4]
+    t = build_table(lengths)
+    with pytest.raises(ShuffleError, match="user 2"):
+        compile_scheme(Field(2), t, simplify(t))
+    cols, log = run_shuffle(simplify(t))
+    assert len(log) == 1
+    compile_scheme(Field(2), t, cols)

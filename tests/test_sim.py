@@ -162,6 +162,22 @@ def test_sum_decode_threads_reproducible():
     assert a.failures > 0  # short noisy code does fail sometimes
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "order, pmf, k, n, failures, redraws",
+    [
+        (2, [0.9, 0.1], 6, 7, 14, 25),
+        (3, [0.8, 0.1, 0.1], 4, 5, 23, 3),
+        (4, [0.8, 0.1, 0.05, 0.05], 6, 16, 6, 0),
+    ],
+)
+def test_sum_decode_realizations_are_pinned(order, pmf, k, n, failures, redraws, threads):
+    # Seed 7, 40 trials: the draws of codes, dithers, messages and noise
+    # must not move when the uplink block path is refactored.
+    st = sum_decode_trials(UplinkSpec(Field(order), np.array(pmf)), k, n, 40, 7, threads=threads)
+    assert (st.failures, st.redraws) == (failures, redraws)
+
+
 def test_noisy_uplink_errors_decrease_with_n():
     field = Field(2)
     up = UplinkSpec(field, np.array([0.89, 0.11]))
