@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import lp
-from .channel import DownlinkSpec, UplinkSpec, mutual_info, uplink_bound
+from .channel import DownlinkSpec, UplinkSpec, mutual_info, neg_entropy, uplink_bound
 from .schedule import MsgId, decode_sums, message_ids, msg_id, per_message
 
 #: Real-valued downlink margins within this tolerance of zero are treated
@@ -119,9 +119,7 @@ def max_min_downlink(down: DownlinkSpec, sum_rates) -> tuple[float, float, np.nd
     w = np.zeros((down.num_users, down.input_size, max(c.shape[1] for c in down.user_channels)))
     for a, c in enumerate(down.user_channels):
         w[a, :, : c.shape[1]] = c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        neg_entropy = np.where(w > 0, w * np.log2(w), 0.0).sum(axis=2)
-    offset = neg_entropy - srs[:, None]
+    offset = neg_entropy(w) - srs[:, None]
 
     p = np.full(down.input_size, 1.0 / down.input_size)
     lam = np.full(down.num_users, 1.0 / down.num_users)
@@ -235,7 +233,7 @@ class FdfpResult:
 
 
 class _SplitSystem:
-    """Index bookkeeping for the split-variable LP."""
+    """The split-variable LP: variable 2i + s routes pair i to its member s."""
 
     def __init__(self, rates: RateTuple, caps):
         self.rates = rates
@@ -244,19 +242,13 @@ class _SplitSystem:
         if len(self.caps) != self.num_users:
             raise ValueError("one cap per user required")
         self.pairs = [k for k in message_ids(self.num_users) if len(k) == 2]
-        self.vars = []  # (pair, receiving member)
-        for pair in self.pairs:
-            self.vars.append((pair, pair[0]))
-            self.vars.append((pair, pair[1]))
+        self.vars = [(pair, member) for pair in self.pairs for member in pair]
         self.n = len(self.vars)
-        self.a_eq = []
-        self.b_eq = []
-        for pair in self.pairs:
-            row = [Fraction(0)] * self.n
-            row[self.vars.index((pair, pair[0]))] = Fraction(1)
-            row[self.vars.index((pair, pair[1]))] = Fraction(1)
-            self.a_eq.append(row)
-            self.b_eq.append(rates.rate(pair))
+        self.a_eq = [self._row([2 * i, 2 * i + 1]) for i in range(len(self.pairs))]
+        self.b_eq = [rates.rate(pair) for pair in self.pairs]
+
+    def _row(self, ones) -> list[Fraction]:
+        return [Fraction(int(v in ones)) for v in range(self.n)]
 
     def cap_row(self, a: int) -> list[Fraction]:
         """Coefficients of sum_{j != a} r_j minus its constant part.
@@ -265,20 +257,16 @@ class _SplitSystem:
         at j; pairs not containing a contribute their full rate, which
         is constant and folded into the rhs.
         """
-        row = [Fraction(0)] * self.n
-        for pair in self.pairs:
-            if a in pair:
-                other = pair[0] if pair[1] == a else pair[1]
-                row[self.vars.index((pair, other))] = Fraction(1)
-        return row
+        return self._row([2 * i + (pair[0] == a) for i, pair in enumerate(self.pairs) if a in pair])
 
     def cap_rhs(self, a: int) -> Fraction:
         return self.caps[a - 1] - self.rates.sum_rate(a)
 
-    def feasible_subset(self, users) -> lp.LpResult:
+    def solve(self, objective, users) -> lp.LpResult:
+        """Minimize ``objective`` over splits within the caps of ``users``."""
         a_ub = [self.cap_row(a) for a in users]
         b_ub = [self.cap_rhs(a) for a in users]
-        return lp.solve_lp([Fraction(0)] * self.n, self.a_eq, self.b_eq, a_ub, b_ub)
+        return lp.solve_lp(objective, self.a_eq, self.b_eq, a_ub, b_ub)
 
 
 def fdfp_feasible(rates: RateTuple, caps) -> FdfpResult:
@@ -292,49 +280,35 @@ def fdfp_feasible(rates: RateTuple, caps) -> FdfpResult:
     """
     sys = _SplitSystem(rates, caps)
     users = list(range(1, sys.num_users + 1))
-    full = sys.feasible_subset(users)
+    zero = [Fraction(0)] * sys.n
+    full = sys.solve(zero, users)
     if full.status == "optimal":
-        splits = {sys.vars[i]: full.x[i] for i in range(sys.n)}
-        eff = []
-        for a in users:
-            extra = sum(
-                (v for (pair, to), v in splits.items() if to == a),
-                Fraction(0),
-            )
-            eff.append(rates.rate((a,)) + extra)
+        splits = dict(zip(sys.vars, full.x))
+        eff = [
+            rates.rate((a,)) + sum((v for (_, to), v in splits.items() if to == a), Fraction(0))
+            for a in users
+        ]
         return FdfpResult(True, splits=splits, effective_private=eff)
 
     # Minimal infeasible cap subset via the deletion filter.
     minimal = list(users)
     for a in list(minimal):
         trial = [u for u in minimal if u != a]
-        if sys.feasible_subset(trial).status == "infeasible":
+        if sys.solve(zero, trial).status == "infeasible":
             minimal = trial
     chains = []
     for star in minimal:
         support = [u for u in minimal if u != star]
-        objective = sys.cap_row(star)
-        res = lp.solve_lp(
-            objective,
-            sys.a_eq,
-            sys.b_eq,
-            [sys.cap_row(a) for a in support],
-            [sys.cap_rhs(a) for a in support],
-        )
+        res = sys.solve(sys.cap_row(star), support)
         assert res.status == "optimal", "deletion filter guarantees a feasible subsystem"
         bound = rates.sum_rate(star) + res.value
         cap = sys.caps[star - 1]
         assert bound > cap, "minimal infeasible subsystem must violate the removed cap"
-        cap_mults = {star: Fraction(1)}
-        for idx, a in enumerate(support):
-            cap_mults[a] = -res.dual_ub[idx]
-        eq_mults = {sys.pairs[i]: -res.dual_eq[i] for i in range(len(sys.pairs))}
+        cap_mults = {star: Fraction(1), **{a: -d for a, d in zip(support, res.dual_ub)}}
+        eq_mults = {pair: -d for pair, d in zip(sys.pairs, res.dual_eq)}
         _verify_farkas(sys, cap_mults, eq_mults)
-        chains.append(
-            FdfpChain(star, support, bound, cap, cap_mults, eq_mults)
-        )
-    certificate = FdfpCertificate(chains, minimal)
-    return FdfpResult(False, certificate=certificate)
+        chains.append(FdfpChain(star, support, bound, cap, cap_mults, eq_mults))
+    return FdfpResult(False, certificate=FdfpCertificate(chains, minimal))
 
 
 def _verify_farkas(sys: _SplitSystem, cap_mults, eq_mults) -> None:
@@ -346,10 +320,9 @@ def _verify_farkas(sys: _SplitSystem, cap_mults, eq_mults) -> None:
         row = sys.cap_row(a)
         combo = [ci + v * ri for ci, ri in zip(combo, row)]
         rhs += v * sys.cap_rhs(a)
-    for pair, u in eq_mults.items():
-        i = sys.pairs.index(pair)
-        combo = [ci + u * ri for ci, ri in zip(combo, sys.a_eq[i])]
-        rhs += u * sys.b_eq[i]
+    for pair, row, b in zip(sys.pairs, sys.a_eq, sys.b_eq):
+        combo = [ci + eq_mults[pair] * ri for ci, ri in zip(combo, row)]
+        rhs += eq_mults[pair] * b
     assert all(ci >= 0 for ci in combo), "combined coefficients must be nonnegative"
     assert rhs < 0, "combined rhs must be negative"
 

@@ -55,10 +55,12 @@ def _list(value, where: str) -> list:
     return value
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(_object(obj, where)) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+def _require_keys(obj: dict, allowed: set[str], where: str, required=()) -> None:
+    """Refuse keys outside ``allowed`` and absent ``required`` ones."""
+    keys = set(_object(obj, where))
+    for what, bad in (("unknown", keys - allowed), ("missing", set(required) - keys)):
+        if bad:
+            raise ConfigError(f"{what} keys {sorted(bad)} in {where}")
 
 
 def _fraction(value, where: str) -> Fraction:
@@ -89,7 +91,7 @@ def _probability_list(values, where: str) -> np.ndarray:
 
 
 def parse_field(obj: dict) -> Field:
-    _require_keys(obj, {"order", "reduction_poly"}, "field")
+    _require_keys(obj, {"order", "reduction_poly"}, "field", {"order"})
     poly = obj.get("reduction_poly")
     if poly is not None:
         poly = [_integer(c, "field.reduction_poly") for c in _list(poly, "field.reduction_poly")]
@@ -100,10 +102,8 @@ def parse_field(obj: dict) -> Field:
 
 
 def parse_channel(obj: dict) -> tuple[UplinkSpec, DownlinkSpec]:
-    _require_keys(obj, {"field", "noise_pmf", "downlink"}, "channel")
-    for key in ("field", "noise_pmf", "downlink"):
-        if key not in obj:
-            raise ConfigError(f"channel config is missing {key!r}")
+    keys = {"field", "noise_pmf", "downlink"}
+    _require_keys(obj, keys, "channel", keys)
     field = parse_field(obj["field"])
     noise = _probability_list(obj["noise_pmf"], "noise_pmf")
     if noise.size != field.order:
@@ -111,10 +111,10 @@ def parse_channel(obj: dict) -> tuple[UplinkSpec, DownlinkSpec]:
             f"noise_pmf has {noise.size} entries but the field has order {field.order}"
         )
     dl = obj["downlink"]
-    _require_keys(dl, {"input_size", "users"}, "downlink")
+    _require_keys(dl, {"input_size", "users"}, "downlink", {"input_size"})
     users = []
     for i, u in enumerate(_list(dl.get("users", []), "downlink.users"), start=1):
-        _require_keys(u, {"matrix"}, f"downlink user {i}")
+        _require_keys(u, {"matrix"}, f"downlink user {i}", {"matrix"})
         where = f"downlink user {i} matrix"
         rows = [_probability_list(row, where) for row in _list(u["matrix"], where)]
         users.append(np.stack(rows))
@@ -127,9 +127,7 @@ def parse_channel(obj: dict) -> tuple[UplinkSpec, DownlinkSpec]:
 
 
 def parse_rates(obj: dict, where: str = "rates") -> RateTuple:
-    _require_keys(obj, {"private", "common"}, where)
-    if "private" not in obj:
-        raise ConfigError(f"{where} needs a 'private' list")
+    _require_keys(obj, {"private", "common"}, where, {"private"})
     private = [_fraction(v, where) for v in _list(obj["private"], f"{where}.private")]
     common = _object(obj.get("common") or {}, f"{where}.common")
     common = {key: _fraction(v, where) for key, v in common.items()}
@@ -140,10 +138,8 @@ def parse_rates(obj: dict, where: str = "rates") -> RateTuple:
 
 
 def parse_lengths(obj: dict) -> SymbolLengths:
-    _require_keys(obj, {"num_users", "k"}, "lengths")
-    for key in ("num_users", "k"):
-        if key not in obj:
-            raise ConfigError(f"lengths config is missing {key!r}")
+    keys = {"num_users", "k"}
+    _require_keys(obj, keys, "lengths", keys)
     k = {m: _integer(v, f"lengths.k[{m!r}]") for m, v in _object(obj["k"], "lengths.k").items()}
     try:
         return SymbolLengths(_integer(obj["num_users"], "lengths.num_users"), k)
@@ -304,7 +300,8 @@ def cmd_simulate(cfg: dict, args) -> int:
     header = "axis_value,trials,failures,p_hat,lo95,hi95,redraws"
     sweep_cfg = cfg.get("sweep")
     if sweep_cfg:
-        _require_keys(sweep_cfg, {"axis", "values"}, "sweep")
+        keys = {"axis", "values"}
+        _require_keys(sweep_cfg, keys, "sweep", keys)
         parse = _integer if sweep_cfg["axis"] == "n" else _fraction
         values = [parse(v, "sweep.values") for v in _list(sweep_cfg["values"], "sweep.values")]
         rows = sim.sweep(
@@ -327,10 +324,7 @@ def cmd_region_sweep(cfg: dict, args) -> int:
     up, down = parse_channel(cfg.get("channel", {}))
     rates = parse_rates(cfg.get("rates", {"private": []}))
     sw = cfg.get("sweep", {})
-    _require_keys(sw, {"x", "y", "step", "max"}, "sweep")
-    for key in ("x", "y", "step"):
-        if key not in sw:
-            raise ConfigError(f"region sweep needs {key!r}")
+    _require_keys(sw, {"x", "y", "step", "max"}, "sweep", {"x", "y", "step"})
     keys = []
     for axis in ("x", "y"):
         try:

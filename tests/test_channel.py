@@ -32,6 +32,8 @@ def test_entropy_rejects_bad_pmf():
         entropy(np.array([0.6, 0.6]))
     with pytest.raises(ValueError):
         entropy(np.array([-0.1, 1.1]))
+    with pytest.raises(ValueError):
+        entropy(np.array([[0.5, 0.5]]))
 
 
 def test_entropy_bounds_and_uniform_max():

@@ -370,12 +370,68 @@ def _edited_config(tmp_path, name, edit):
             lambda c: c.update(sweep={"axis": "n", "values": "88"}),
             "sweep.values must be a JSON list",
         ),
+        (
+            "simulate",
+            "noisy_uplink_small.json",
+            lambda c: c["channel"]["downlink"].pop("input_size"),
+            "missing keys ['input_size'] in downlink",
+        ),
+        (
+            "simulate",
+            "noisy_uplink_small.json",
+            lambda c: c["channel"]["downlink"]["users"][1].pop("matrix"),
+            "missing keys ['matrix'] in downlink user 2",
+        ),
+        (
+            "simulate",
+            "noisy_uplink_small.json",
+            lambda c: c["channel"]["field"].pop("order"),
+            "missing keys ['order'] in field",
+        ),
+        (
+            "simulate",
+            "noisy_uplink_small.json",
+            lambda c: c.update(sweep={"values": [40]}),
+            "missing keys ['axis'] in sweep",
+        ),
+        (
+            "simulate",
+            "noisy_uplink_small.json",
+            lambda c: c.update(sweep={"axis": "n"}),
+            "missing keys ['values'] in sweep",
+        ),
+        (
+            "region-check",
+            "f4_pairwise_counterexample.json",
+            lambda c: c["channel"].pop("noise_pmf"),
+            "missing keys ['noise_pmf'] in channel",
+        ),
+        (
+            "schedule-build",
+            "schedule_l3.json",
+            lambda c: c["lengths"].pop("k"),
+            "missing keys ['k'] in lengths",
+        ),
+        (
+            "region-sweep",
+            "region_sweep_f4.json",
+            lambda c: c["sweep"].pop("step"),
+            "missing keys ['step'] in sweep",
+        ),
+        (
+            "region-check",
+            "f4_pairwise_counterexample.json",
+            lambda c: c["rates"].pop("private"),
+            "missing keys ['private'] in rates",
+        ),
     ],
     ids=["repeated-common-pair", "repeated-length-pair", "non-integer-key", "equal-pair-axis",
          "unknown-axis", "bool-rate", "bool-probability", "common-list", "k-list",
          "private-string", "noise-pmf-string", "reduction-poly-string", "reduction-poly-float",
          "matrix-row-strings",
-         "users-string", "caps-string", "sweep-values-string"],
+         "users-string", "caps-string", "sweep-values-string",
+         "no-input-size", "no-matrix", "no-field-order", "no-sweep-axis", "no-sweep-values",
+         "no-noise-pmf", "no-lengths-k", "no-region-sweep-step", "no-private"],
 )
 def test_bad_message_ids_are_config_errors_naming_the_section(
     tmp_path, capsys, command, name, edit, section

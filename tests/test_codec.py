@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from mwrelay import gf
-from mwrelay.channel import DownlinkSpec, UplinkSpec, identity_downlink, sample_downlink
+from mwrelay.channel import (
+    DownlinkSpec,
+    UplinkSpec,
+    identity_downlink,
+    sample_downlink,
+    sample_uplink_noise,
+)
 from mwrelay.codec import (
     BlockCode,
     CapabilityError,
@@ -188,9 +194,15 @@ def test_build_v_empty_column_is_zero():
 
 
 def brute_force_sum_decode(field, y0, g, dither_sum, pmf):
-    """Independent ML oracle: plain loops over candidates and positions."""
+    """Independent ML oracle: plain loops over candidates and positions.
+
+    Returns the first candidate in ascending big-endian order with the
+    highest score and the number of candidates that reach that score.
+    Logs are added in position order, as the decoder's row sums add them
+    for n < 8, so scores compare exactly.
+    """
     k = g.shape[0]
-    best, best_score = None, None
+    best, best_score, ties = None, None, 0
     for cand in itertools.product(range(field.order), repeat=k):
         c = gf.mat_mul(field, np.array(cand, dtype=np.int64), g)
         score = 0.0
@@ -203,9 +215,10 @@ def brute_force_sum_decode(field, y0, g, dither_sum, pmf):
             score += np.log(pmf[sym])
         if not ok:
             continue
-        if best_score is None or score > best_score + 1e-12:
-            best, best_score = np.array(cand), score
-    return best
+        if best_score is None or score > best_score:
+            best, best_score, ties = np.array(cand), score, 0
+        ties += score == best_score
+    return best, ties
 
 
 def test_relay_decode_zero_noise_exact():
@@ -245,37 +258,39 @@ def test_relay_decode_excludes_zero_probability_candidates():
     # the tie breaks to the smaller encoding
     est = relay_decode_sum(np.array([2]), code, zero, up)
     assert est[0] == 2
-    oracle = brute_force_sum_decode(field, np.array([2]), g, zero, up.noise_pmf)
-    assert est[0] == min(2, 3) and oracle[0] in (2, 3)
+    oracle, ties = brute_force_sum_decode(field, np.array([2]), g, zero, up.noise_pmf)
+    assert est[0] == min(2, 3) and oracle[0] == 2 and ties == 2
 
 
 def test_relay_decode_agrees_with_brute_force_oracle():
+    # The decoder returns the oracle's first maximum.  Noise uniform on a
+    # subset of F gives every feasible candidate the same float score, so
+    # the tie-break is checked too; GF(9)'s laws are not symmetric under
+    # negation, so the sign of the noise is checked as well.
     rng = stream(8, "oracle")
-    for order in (2, 4):
+    laws = [
+        (2, [0.7, 0.3]),
+        (4, [0.7, 0.3, 0, 0]),
+        (4, [0.5, 0.5, 0, 0]),
+        (9, [0.5, 0.2, 0, 0.3, 0, 0, 0, 0, 0]),
+        (9, [0.25, 0.25, 0, 0, 0.25, 0, 0.25, 0, 0]),
+    ]
+    tied = 0
+    for order, pmf in laws:
         field = Field(order)
-        pmf = np.zeros(order)
-        pmf[0], pmf[1] = 0.7, 0.3
-        up = UplinkSpec(field, pmf)
+        up = UplinkSpec(field, np.array(pmf))
         for _ in range(15):
             k, n = 2, 4
             g = gf.random_matrix(field, k, n, rng)
             q = gf.random_vec(field, n, rng)
-            y0 = gf.random_vec(field, n, rng)
+            u = gf.random_vec(field, k, rng)
+            noise = sample_uplink_noise(up, n, rng)
+            y0 = field.add(field.add(gf.mat_mul(field, u, g), q), noise)
             est = relay_decode_sum(y0, BlockCode(k, n, g, {}), q, up)
-            oracle = brute_force_sum_decode(field, y0, g, q, pmf)
-            if oracle is None:
-                continue
-            est_score = sum(
-                np.log(pmf[field.sub(int(y0[t]), field.add(int(q[t]), int(c)))])
-                for t, c in enumerate(gf.mat_mul(field, est, g))
-                if pmf[field.sub(int(y0[t]), field.add(int(q[t]), int(c)))] > 0
-            )
-            # both achieve the same maximum likelihood
-            oracle_score = sum(
-                np.log(pmf[field.sub(int(y0[t]), field.add(int(q[t]), int(c)))])
-                for t, c in enumerate(gf.mat_mul(field, oracle, g))
-            )
-            assert est_score == pytest.approx(oracle_score, abs=1e-9)
+            oracle, ties = brute_force_sum_decode(field, y0, g, q, up.noise_pmf)
+            assert np.array_equal(est, oracle), (order, pmf)
+            tied += ties > 1
+    assert tied >= 10
 
 
 def test_relay_decode_capability_bound():
@@ -437,6 +452,8 @@ def test_codebook_lazy_and_deterministic():
     u = np.array([1, 0, 1])
     assert np.array_equal(cb1.codeword(u), cb2.codeword(u))
     assert not np.array_equal(cb1.codeword(u), cb1.codeword(np.array([0, 0, 1])))
+    with pytest.raises(ValueError):
+        DownlinkCodebook(np.array([[0.5, 0.5]]), 32, 99)
 
 
 def test_user_decode_noiseless_identity():
@@ -456,6 +473,28 @@ def test_user_decode_noiseless_identity():
         assert np.array_equal(got, truth)
 
 
+def test_user_decode_ties_go_to_the_smallest_candidate():
+    # With n_dl = 3 binary symbols, many candidate words share a codeword;
+    # on the identity downlink they all score 0, and the decoder must
+    # return the first of them, as the per-candidate loop does.
+    field = Field(2)
+    lengths = lengths_l3()
+    t, cols, scheme = compiled(field, lengths)
+    down = identity_downlink(3, 2)
+    rng = stream(8, "ud-ties")
+    tied = 0
+    for trial in range(10):
+        msgs = random_messages(field, lengths, rng)
+        cb = DownlinkCodebook(np.array([0.5, 0.5]), 3, trial)
+        y = cb.codeword(relay_word(scheme, msgs))
+        for a in (1, 2, 3):
+            cand = candidate_set(scheme, a, {m: v for m, v in msgs.items() if a in m})
+            got = user_decode_word(y, cb, cand, down, a)
+            assert np.array_equal(got, ref_user_decode(y, cb, cand.words, down.channel(a)))
+            tied += sum(np.array_equal(cb.codeword(w), y) for w in cand.words) > 1
+    assert tied >= 10
+
+
 def test_user_decode_single_candidate():
     field = Field(2)
     lengths = SymbolLengths(2, {(1,): 1, (2,): 1})
@@ -471,6 +510,9 @@ def test_user_decode_single_candidate():
     assert cand.words.shape[0] == 1
     got = user_decode_word(np.zeros(16, dtype=np.int64), cb, cand, down, 2)
     assert np.array_equal(got, cand.words[0])
+    wide = DownlinkCodebook(np.full(3, 1 / 3), 16, 4)
+    with pytest.raises(ValueError):
+        user_decode_word(np.zeros(16, dtype=np.int64), wide, cand, down, 2)
 
 
 def test_recover_messages_round_trip_and_negative_control():
