@@ -129,7 +129,7 @@ def parse_channel(obj: dict) -> tuple[UplinkSpec, DownlinkSpec]:
 def parse_rates(obj: dict, where: str = "rates") -> RateTuple:
     _require_keys(obj, {"private", "common"}, where, {"private"})
     private = [_fraction(v, where) for v in _list(obj["private"], f"{where}.private")]
-    common = _object(obj.get("common") or {}, f"{where}.common")
+    common = _object(obj["common"], f"{where}.common") if "common" in obj else {}
     common = {key: _fraction(v, where) for key, v in common.items()}
     try:
         return RateTuple.from_lists(private, common)
@@ -168,9 +168,9 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_region_check(cfg: dict, args) -> int:
     # "caps" is legal so one channel+rates config can also serve fdfp-check.
-    _require_keys(cfg, {"channel", "rates", "caps"}, "config")
-    up, down = parse_channel(cfg.get("channel", {}))
-    rates = parse_rates(cfg.get("rates", {}))
+    _require_keys(cfg, {"channel", "rates", "caps"}, "config", {"channel", "rates"})
+    up, down = parse_channel(cfg["channel"])
+    rates = parse_rates(cfg["rates"])
     evaluator = RegionEvaluator(up, down)
     rep = evaluator.report(rates)
     lines = []
@@ -198,8 +198,8 @@ def _default_caps(up: UplinkSpec, down: DownlinkSpec) -> list[Fraction]:
 
 
 def cmd_fdfp_check(cfg: dict, args) -> int:
-    _require_keys(cfg, {"channel", "rates", "caps"}, "config")
-    rates = parse_rates(cfg.get("rates", {}))
+    _require_keys(cfg, {"channel", "rates", "caps"}, "config", {"rates"})
+    rates = parse_rates(cfg["rates"])
     if "caps" in cfg:
         caps = [_fraction(v, "caps") for v in _list(cfg["caps"], "caps")]
     elif "channel" in cfg:
@@ -240,8 +240,8 @@ def _fmt_fracs(d: dict) -> str:
 
 
 def cmd_schedule_build(cfg: dict, args) -> int:
-    _require_keys(cfg, {"lengths"}, "config")
-    lengths = parse_lengths(cfg.get("lengths", {}))
+    _require_keys(cfg, {"lengths"}, "config", {"lengths"})
+    lengths = parse_lengths(cfg["lengths"])
     order, lengths = reindex_users(lengths)
     table = build_table(lengths)
     rep = verify_props(table)
@@ -272,21 +272,18 @@ def _stats_row(value, st: sim.ErrorStats) -> str:
 
 
 def cmd_simulate(cfg: dict, args) -> int:
-    _require_keys(
-        cfg,
-        {"channel", "rates", "lengths", "n", "n_dl", "trials", "sweep"},
-        "config",
-    )
-    up, down = parse_channel(cfg.get("channel", {}))
+    required = {"channel", "n", "n_dl", "trials"}
+    _require_keys(cfg, required | {"rates", "lengths", "sweep"}, "config", required)
+    up, down = parse_channel(cfg["channel"])
     rates = parse_rates(cfg["rates"]) if "rates" in cfg else None
     lengths = parse_lengths(cfg["lengths"]) if "lengths" in cfg else None
     try:
         trial_cfg = sim.TrialConfig(
             up,
             down,
-            n=_integer(cfg.get("n", 0), "n"),
-            n_dl=_integer(cfg.get("n_dl", 0), "n_dl"),
-            trials=_integer(cfg.get("trials", 0), "trials"),
+            n=_integer(cfg["n"], "n"),
+            n_dl=_integer(cfg["n_dl"], "n_dl"),
+            trials=_integer(cfg["trials"], "trials"),
             master_seed=args.seed,
             rates=rates,
             lengths=lengths,
@@ -298,8 +295,8 @@ def cmd_simulate(cfg: dict, args) -> int:
         ks = ", ".join(f"{k}:{v}" for k, v in sorted(resolved.k.items()) if v)
         print(f"quantized symbol lengths at n={trial_cfg.n}: {ks or 'all zero'}", file=sys.stderr)
     header = "axis_value,trials,failures,p_hat,lo95,hi95,redraws"
-    sweep_cfg = cfg.get("sweep")
-    if sweep_cfg:
+    if "sweep" in cfg:
+        sweep_cfg = cfg["sweep"]
         keys = {"axis", "values"}
         _require_keys(sweep_cfg, keys, "sweep", keys)
         parse = _integer if sweep_cfg["axis"] == "n" else _fraction
@@ -320,10 +317,11 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 
 def cmd_region_sweep(cfg: dict, args) -> int:
-    _require_keys(cfg, {"channel", "rates", "sweep"}, "config")
-    up, down = parse_channel(cfg.get("channel", {}))
-    rates = parse_rates(cfg.get("rates", {"private": []}))
-    sw = cfg.get("sweep", {})
+    required = {"channel", "rates", "sweep"}
+    _require_keys(cfg, required, "config", required)
+    up, down = parse_channel(cfg["channel"])
+    rates = parse_rates(cfg["rates"])
+    sw = cfg["sweep"]
     _require_keys(sw, {"x", "y", "step", "max"}, "sweep", {"x", "y", "step"})
     keys = []
     for axis in ("x", "y"):

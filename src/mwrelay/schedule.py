@@ -244,8 +244,8 @@ def verify_props(table: MessageTable) -> PropReport:
     """Machine-check the structural properties the decoder relies on.
 
     1. every starred-cell symbol names a message user 1 knows;
-    2. for each user a, symbols in rows other than a are messages user a
-       knows once it has decoded its own row (they all involve user 1);
+    2. more strongly, it is user 1's private message or a pair message
+       W_{1,j}; items 1 and 2 are one check (P1), one line per bad symbol;
     3. row 1 plus row a together cover every message user a must decode;
     4. the number of distinct starred symbols unknown to user a is
        exactly k_1 plus the lengths of user 1's pairs with others.
@@ -259,14 +259,9 @@ def verify_props(table: MessageTable) -> PropReport:
             for i, ref in enumerate(cell):
                 if ref is None:
                     continue
-                if 1 not in ref.msg:
-                    failures.append(
-                        f"P1: block {b.msg} row {row} col {i} holds {ref.label()},"
-                        f" which user 1 does not know"
-                    )
                 if ref.msg not in allowed:
                     failures.append(
-                        f"P2: block {b.msg} row {row} col {i} holds {ref.label()},"
+                        f"P1: block {b.msg} row {row} col {i} holds {ref.label()},"
                         f" outside user 1's private and pair messages"
                     )
 

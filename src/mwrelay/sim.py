@@ -1,10 +1,14 @@
 """Monte Carlo harness for end-to-end block error probability.
 
-A trial draws fresh messages, codes, and noise from named substreams of
-the master seed, runs the uplink, broadcasts the relay's decoded word
-over the downlink, and counts a failure when any user decodes any of
-its required messages wrongly.  Substreams are keyed by trial index, so
-results do not depend on thread count or execution order.
+A trial is one draw from the random-coding ensemble: it runs the uplink,
+broadcasts the relay's decoded word over the downlink, and counts a
+failure when any user decodes any of its required messages wrongly.
+Each trial draws everything from one Philox stream keyed by the master
+seed and the trial index, in a fixed order: messages (in
+``message_ids`` order), block codes (in block order, redraws included),
+uplink noise (in block order), the codebook key, then the downlink
+outputs of users 1..L.  Results therefore do not depend on thread count
+or execution order.
 """
 
 from __future__ import annotations
@@ -113,24 +117,19 @@ def _run_trial(
     field = cfg.up.field
     lengths = scheme.table.lengths
 
-    msg_rng = stream(cfg.master_seed, "messages", t)
-    messages = {m: gf.random_vec(field, lengths.k[m], msg_rng) for m in scheme.ids}
+    rng = stream(cfg.master_seed, "trial", t)
+    messages = {m: gf.random_vec(field, lengths.k[m], rng) for m in scheme.ids}
+    codes, redraws = codec.make_block_codes(scheme.table, cfg.n, field, rng)
+    word_hat = codec.uplink_round(scheme, messages, codes, cfg.up, rng)
 
-    codes, redraws = codec.make_block_codes(
-        scheme.table, cfg.n, field, stream(cfg.master_seed, "codes", t)
-    )
-    word_hat = codec.uplink_round(
-        scheme, messages, codes, cfg.up, stream(cfg.master_seed, "uplink-noise", t)
-    )
-
-    key = stream(cfg.master_seed, "codebook", t).integers(0, 2**64, dtype=np.uint64)
+    key = rng.integers(0, 2**64, dtype=np.uint64)
     codebook = codec.DownlinkCodebook(np.full(down.input_size, 1 / down.input_size), cfg.n_dl, key)
     x0 = codebook.codeword(word_hat)
 
     for a in range(1, lengths.num_users + 1):
         known = {m: v for m, v in messages.items() if a in m}
         cands = codec.candidate_set(scheme, a, known)
-        y_a = sample_downlink(down, a, x0, stream(cfg.master_seed, "downlink", t, a))
+        y_a = sample_downlink(down, a, x0, rng)
         word_a = codec.user_decode_word(y_a, codebook, cands, down, a)
         recovered = codec.recover_messages(scheme, a, word_a, known)
         for m, v in recovered.items():
@@ -143,7 +142,7 @@ def _tally(job, trials: int, threads: int) -> ErrorStats:
     """Failures and redraws of ``job(t) -> (failed, redraws)`` over all trials.
 
     Runs on up to ``threads`` threads; each trial draws from its own
-    streams, so the counts do not depend on the thread count.
+    stream, so the counts do not depend on the thread count.
     """
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -211,6 +210,7 @@ def sum_decode_trials(
     dithers for transmitters 1 and 2 (rank-deficient draws are counted),
     two uniform messages go through ``codec.send_block``, and a failure
     is counted when the relay's ML estimate differs from their field sum.
+    Code, messages and noise come from one stream per trial, in that order.
     """
     field = up.field
     if k > n:
@@ -220,7 +220,7 @@ def sum_decode_trials(
         rng = stream(master_seed, "sum-decode", t)
         code, redraws = codec.block_code(field, k, n, (1, 2), rng)
         u = {1: gf.random_vec(field, k, rng), 2: gf.random_vec(field, k, rng)}
-        est = codec.send_block(code, u, up, stream(master_seed, "sum-decode-noise", t))
+        est = codec.send_block(code, u, up, rng)
         return not np.array_equal(est, field.add(u[1], u[2])), redraws
 
     return _tally(job, trials, threads)

@@ -265,6 +265,22 @@ def _edited_config(tmp_path, name, edit):
     return p
 
 
+F4, SWEEP_F4, L3, ZERO = (
+    "f4_pairwise_counterexample.json", "region_sweep_f4.json", "schedule_l3.json",
+    "zero_noise_roundtrip.json",
+)
+#: Required top-level keys of each command, with a config that has them.
+REQUIRED = [
+    ("region-check", F4, "channel"), ("region-check", F4, "rates"),
+    ("region-sweep", SWEEP_F4, "channel"), ("region-sweep", SWEEP_F4, "rates"),
+    ("region-sweep", SWEEP_F4, "sweep"), ("fdfp-check", F4, "rates"),
+    ("schedule-build", L3, "lengths"), ("simulate", ZERO, "channel"),
+    ("simulate", ZERO, "n"), ("simulate", ZERO, "n_dl"), ("simulate", ZERO, "trials"),
+]
+#: Falsy JSON values that are not objects, so not an absent key either.
+FALSY = [[], 0, False, "", None]
+
+
 @pytest.mark.parametrize(
     "command, name, edit, section",
     [
@@ -424,14 +440,23 @@ def _edited_config(tmp_path, name, edit):
             lambda c: c["rates"].pop("private"),
             "missing keys ['private'] in rates",
         ),
-    ],
+    ]
+    + [(cmd, name, lambda c, k=key: c.pop(k), f"missing keys ['{key}'] in config")
+       for cmd, name, key in REQUIRED]
+    + [("region-check", F4, lambda c, v=v: c["rates"].update(common=v),
+        "rates.common must be a JSON object") for v in FALSY]
+    + [("simulate", ZERO, lambda c, v=v: c.update(sweep=v), "sweep must be a JSON object")
+       for v in FALSY]
+    + [("simulate", ZERO, lambda c: c.update(sweep={}), "missing keys ['axis', 'values'] in sweep")],
     ids=["repeated-common-pair", "repeated-length-pair", "non-integer-key", "equal-pair-axis",
          "unknown-axis", "bool-rate", "bool-probability", "common-list", "k-list",
          "private-string", "noise-pmf-string", "reduction-poly-string", "reduction-poly-float",
          "matrix-row-strings",
          "users-string", "caps-string", "sweep-values-string",
          "no-input-size", "no-matrix", "no-field-order", "no-sweep-axis", "no-sweep-values",
-         "no-noise-pmf", "no-lengths-k", "no-region-sweep-step", "no-private"],
+         "no-noise-pmf", "no-lengths-k", "no-region-sweep-step", "no-private"]
+    + [f"no-{key}-{cmd}" for cmd, _, key in REQUIRED]
+    + [f"common-{v!r}" for v in FALSY] + [f"sweep-{v!r}" for v in FALSY] + ["sweep-{}"],
 )
 def test_bad_message_ids_are_config_errors_naming_the_section(
     tmp_path, capsys, command, name, edit, section

@@ -182,7 +182,10 @@ def test_verify_props_negative_control():
     t.blocks[1].cells[3][0] = MessageRef((2,), 0)
     rep = verify_props(t)
     assert not rep.ok
-    assert any(f.startswith("P1") for f in rep.failures)
+    # One line for the one bad symbol (C1 also sees its count change).
+    assert [f for f in rep.failures if not f.startswith("C1")] == [
+        "P1: block (3,) row 3 col 0 holds W2[0], outside user 1's private and pair messages"
+    ]
 
 
 def test_corollary_counts():

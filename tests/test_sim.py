@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mwrelay import sim
 from mwrelay.capacity import RateTuple
 from mwrelay.channel import UplinkSpec, identity_downlink
 from mwrelay.gf import Field
@@ -166,9 +167,9 @@ def test_sum_decode_threads_reproducible():
 @pytest.mark.parametrize(
     "order, pmf, k, n, failures, redraws",
     [
-        (2, [0.9, 0.1], 6, 7, 14, 25),
-        (3, [0.8, 0.1, 0.1], 4, 5, 23, 3),
-        (4, [0.8, 0.1, 0.05, 0.05], 6, 16, 6, 0),
+        (2, [0.9, 0.1], 6, 7, 19, 25),
+        (3, [0.8, 0.1, 0.1], 4, 5, 26, 3),
+        (4, [0.8, 0.1, 0.05, 0.05], 6, 16, 4, 0),
     ],
 )
 def test_sum_decode_realizations_are_pinned(order, pmf, k, n, failures, redraws, threads):
@@ -176,6 +177,23 @@ def test_sum_decode_realizations_are_pinned(order, pmf, k, n, failures, redraws,
     # must not move when the uplink block path is refactored.
     st = sum_decode_trials(UplinkSpec(Field(order), np.array(pmf)), k, n, 40, 7, threads=threads)
     assert (st.failures, st.redraws) == (failures, redraws)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_trial_draws_from_one_stream(monkeypatch, threads):
+    # Every draw of a trial comes from one generator keyed by its index.
+    paths = []
+
+    def counting_stream(*path):
+        paths.append(path)
+        return stream(*path)
+
+    monkeypatch.setattr(sim, "stream", counting_stream)
+    run_trials(zero_noise_cfg(trials=12), threads=threads)
+    assert sorted(p[-1] for p in paths) == list(range(12))
+    paths.clear()
+    sum_decode_trials(UplinkSpec(Field(2), np.array([0.9, 0.1])), 4, 8, 9, 3, threads=threads)
+    assert sorted(p[-1] for p in paths) == list(range(9))
 
 
 def test_noisy_uplink_errors_decrease_with_n():
