@@ -290,29 +290,21 @@ def cmd_simulate(cfg: dict, args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if rates is not None:
-        resolved = trial_cfg.resolved_lengths()
-        ks = ", ".join(f"{k}:{v}" for k, v in sorted(resolved.k.items()) if v)
-        print(f"quantized symbol lengths at n={trial_cfg.n}: {ks or 'all zero'}", file=sys.stderr)
-    header = "axis_value,trials,failures,p_hat,lo95,hi95,redraws"
+    axis, values = "n", [trial_cfg.n]  # without a sweep, one run at the config's n
     if "sweep" in cfg:
         sweep_cfg = cfg["sweep"]
-        keys = {"axis", "values"}
-        _require_keys(sweep_cfg, keys, "sweep", keys)
-        parse = _integer if sweep_cfg["axis"] == "n" else _fraction
+        _require_keys(sweep_cfg, {"axis", "values"}, "sweep", {"axis", "values"})
+        axis = sweep_cfg["axis"]
+        parse = _integer if axis == "n" else _fraction
         values = [parse(v, "sweep.values") for v in _list(sweep_cfg["values"], "sweep.values")]
-        rows = sim.sweep(
-            trial_cfg,
-            sweep_cfg["axis"],
-            values,
-            threads=args.threads,
-            progress=lambda line: print(line, file=sys.stderr),
-        )
-        body = [_stats_row(v, st) for v, st in rows]
-    else:
-        st = sim.run_trials(trial_cfg, threads=args.threads)
-        body = [_stats_row(trial_cfg.n, st)]
-    _emit(header + "\n" + "\n".join(body) + "\n", args.out)
+    for v in values if rates is not None else ():
+        run = sim.at_axis_value(trial_cfg, axis, v)
+        ks = ", ".join(f"{k}:{x}" for k, x in sorted(run.resolved_lengths().k.items()) if x)
+        print(f"quantized symbol lengths at {axis}={v}: {ks or 'all zero'}", file=sys.stderr)
+    progress = (lambda line: print(line, file=sys.stderr)) if "sweep" in cfg else None
+    rows = sim.sweep(trial_cfg, axis, values, threads=args.threads, progress=progress)
+    header = "axis_value,trials,failures,p_hat,lo95,hi95,redraws"
+    _emit(header + "\n" + "\n".join(_stats_row(v, st) for v, st in rows) + "\n", args.out)
     return 0
 
 

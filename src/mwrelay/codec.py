@@ -117,6 +117,11 @@ def encode_uplink(u: np.ndarray, code: BlockCode, transmitter: int, field: Field
     return field.add(gf.mat_mul(field, u, code.generator), code.dithers[transmitter])
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @lru_cache(maxsize=16)
 def _all_vectors(order: int, k: int) -> np.ndarray:
     """All length-k vectors over [0, order), ascending big-endian, (order^k, k).
@@ -133,8 +138,13 @@ def _all_vectors(order: int, k: int) -> np.ndarray:
     idx = np.arange(count)
     for t in range(k):
         out[:, t] = (idx // order ** (k - 1 - t)) % order
-    out.setflags(write=False)
-    return out
+    return _frozen(out)
+
+
+@lru_cache(maxsize=16)
+def _candidate_digits(field: Field, k: int) -> np.ndarray:
+    """Digit rows of ``_all_vectors(field.order, k)`` in ``gf.exact_dtype``; read-only."""
+    return _frozen(field.digit_rows(_all_vectors(field.order, k)).astype(gf.exact_dtype(field, k)))
 
 
 def relay_decode_sum(
@@ -151,10 +161,10 @@ def relay_decode_sum(
     if y0.shape[0] != code.n:
         raise ValueError(f"received length {y0.shape[0]} != n={code.n}")
     z = field.sub(y0, np.asarray(dither_sum, dtype=np.int64))
-    cands = _all_vectors(field.order, code.k)
     symbols = np.arange(field.order)
     law = up.noise_pmf[field.sub(symbols, symbols[:, None])]
-    return cands[most_likely(law, gf.mat_mul(field, cands, code.generator), z)].copy()
+    words = gf.mat_mul_digits(field, _candidate_digits(field, code.k), code.generator)
+    return _all_vectors(field.order, code.k)[most_likely(law, words, z)].copy()
 
 
 def send_block(
@@ -174,11 +184,6 @@ def send_block(
 
 
 # -- the compiled relay map ------------------------------------------------------
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

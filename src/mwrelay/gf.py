@@ -155,8 +155,8 @@ class Field:
     # -- element arithmetic ----------------------------------------------------
 
     def _element(self, d: np.ndarray, *operands):
-        """Element(s) with digits ``d``; a Python int when no operand is an array."""
-        out = self.from_digits(d)
+        """Element(s) with digits ``d`` mod p; a Python int when no operand is an array."""
+        out = self.from_digits(d % self.p)
         return out if any(isinstance(x, np.ndarray) for x in operands) else int(out)
 
     def add(self, a, b):
@@ -201,8 +201,13 @@ class Field:
         return (a[..., None] // self._powers) % self.p
 
     def from_digits(self, d: np.ndarray):
+        """Element(s) from base-p digits in [0, p) on the last axis, by Horner's rule."""
         d = np.asarray(d, dtype=np.int64)
-        return (d % self.p) @ self._powers
+        out = d[..., -1].copy()
+        for i in range(self.m - 2, -1, -1):
+            out *= self.p
+            out += d[..., i]
+        return out
 
     def expand_matrix(self, a: np.ndarray) -> np.ndarray:
         """GF(p)-linear expansion of right multiplication by matrix ``a``.
@@ -242,24 +247,34 @@ class Field:
 
 
 def mat_mul(field: Field, u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Row vector, or (B, k) stack of row vectors, times a (k, n) matrix.
-
-    One floating-point BLAS product over the GF(p) digit expansion,
-    reduced mod p.  It is exact while the digit dot products stay below
-    the mantissa: float32 when k*m*(p-1)^2 < 2^24, float64 otherwise.
-    """
+    """Row vector, or (B, k) stack of row vectors, times a (k, n) matrix."""
     u = np.asarray(u, dtype=np.int64)
     g = np.asarray(g, dtype=np.int64)
     if u.ndim not in (1, 2) or g.ndim != 2 or u.shape[-1] != g.shape[0]:
         raise ValueError(f"dimension mismatch: u has {u.shape}, G has {g.shape}")
     rows = np.atleast_2d(u)
-    if field.m > 1:
-        rows, g = field.digit_rows(rows), field.expand_matrix(g)
-    dtype = np.float32 if rows.shape[1] * (field.p - 1) ** 2 < 2**24 else np.float64
-    out = ((rows.astype(dtype) @ g.astype(dtype)) % field.p).astype(np.int64)
-    if field.m > 1:
-        out = field.rows_from_digits(out)
+    out = mat_mul_digits(field, field.digit_rows(rows) if field.m > 1 else rows, g)
     return out[0] if u.ndim == 1 else out
+
+
+def exact_dtype(field: Field, k: int) -> type:
+    """float32 when k*m*(p-1)^2, a bound on each digit dot product over k rows, is below 2^24."""
+    return np.float32 if k * field.m * (field.p - 1) ** 2 < 2**24 else np.float64
+
+
+def mat_mul_digits(field: Field, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(B, k*m) digit rows times a (k, n) matrix, as (B, n) elements.
+
+    One BLAS product in ``exact_dtype``, reduced as s - p*floor(s/p).  That is
+    exact: for s = qp + r below 2^24 (2^53 in float64), s/p is at least 1/p below
+    q+1, and half an ulp of q is at most q*2^-24 < 1/p as qp <= s, so floor is q.
+    """
+    dtype = exact_dtype(field, g.shape[0])
+    e = field.expand_matrix(g) if field.m > 1 else g
+    s = rows.astype(dtype, copy=False) @ e.astype(dtype)
+    s -= field.p * np.floor(s / field.p)
+    out = s.astype(np.int64)
+    return field.rows_from_digits(out) if field.m > 1 else out
 
 
 def _eliminate(p: int, m: np.ndarray) -> list[int]:

@@ -171,6 +171,19 @@ def run_trials(cfg: TrialConfig, threads: int = 1) -> ErrorStats:
     return _tally(lambda t: _run_trial(cfg, down, scheme, t), cfg.trials, threads)
 
 
+def at_axis_value(cfg: TrialConfig, axis: str, v) -> TrialConfig:
+    """``cfg`` with block length ``n`` = v, or its rates scaled by v."""
+    if axis == "n":
+        if v != int(v):
+            raise ValueError(f"block length n={v!r} is not an integer")
+        return replace(cfg, n=int(v))
+    if axis == "rate_scale":
+        if cfg.rates is None:
+            raise ValueError("rate_scale sweeps need a rate tuple")
+        return replace(cfg, rates=cfg.rates.scaled(v))
+    raise ValueError(f"unknown sweep axis {axis!r}")
+
+
 def sweep(
     cfg: TrialConfig, axis: str, values, threads: int = 1, progress=None
 ) -> list[tuple[float, ErrorStats]]:
@@ -184,17 +197,7 @@ def sweep(
         raise ValueError("sweep needs at least one axis value")
     rows = []
     for v in values:
-        if axis == "n":
-            if v != int(v):
-                raise ValueError(f"block length n={v!r} is not an integer")
-            sub = replace(cfg, n=int(v))
-        elif axis == "rate_scale":
-            if cfg.rates is None:
-                raise ValueError("rate_scale sweeps need a rate tuple")
-            sub = replace(cfg, rates=cfg.rates.scaled(v))
-        else:
-            raise ValueError(f"unknown sweep axis {axis!r}")
-        stats = run_trials(sub, threads)
+        stats = run_trials(at_axis_value(cfg, axis, v), threads)
         rows.append((float(v), stats))
         if progress is not None:
             progress(f"{axis}={v}: {stats.failures}/{stats.trials} failures")

@@ -147,6 +147,34 @@ def test_simulate_sweep_with_rates(tmp_path, capsys):
     assert "quantized symbol lengths" in err  # progress goes to stderr
 
 
+def test_simulate_prints_the_quantized_lengths_each_sweep_value_runs(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "noisy_uplink_small.json").read_text())
+    del cfg["lengths"]
+    cfg["rates"] = {"private": ["1/10", "1/10", "1/10"]}
+    cfg["trials"], cfg["n_dl"] = 1, 16
+    p = tmp_path / "cfg.json"
+    sweeps = {
+        "n": ([20, 80], ["n=20: (1,):2, (2,):2, (3,):2", "n=80: (1,):8, (2,):8, (3,):8"]),
+        "rate_scale": (
+            ["1/2", 1],
+            ["rate_scale=1/2: (1,):2, (2,):2, (3,):2", "rate_scale=1: (1,):4, (2,):4, (3,):4"],
+        ),
+    }
+    for axis, (values, ats) in sweeps.items():
+        cfg["sweep"] = {"axis": axis, "values": values}
+        p.write_text(json.dumps(cfg))
+        code, out, err = run(["simulate", "--config", p, "--seed", "2"], capsys)
+        assert code == 0 and len(out.splitlines()) == 3
+        lines = [ln for ln in err.splitlines() if ln.startswith("quantized symbol lengths")]
+        assert lines == [f"quantized symbol lengths at {at}" for at in ats], axis
+    # without a sweep, the one line names the config's n
+    del cfg["sweep"]
+    p.write_text(json.dumps(cfg))
+    code, _, err = run(["simulate", "--config", p, "--seed", "2"], capsys)
+    assert code == 0
+    assert "quantized symbol lengths at n=40: (1,):4, (2,):4, (3,):4\n" in err
+
+
 def test_determinism_across_threads(tmp_path, capsys):
     outs = []
     for threads in ("1", "4"):

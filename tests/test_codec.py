@@ -16,6 +16,7 @@ from mwrelay.codec import (
     CapabilityError,
     DownlinkCodebook,
     _all_vectors,
+    _candidate_digits,
     allocate_block_lengths,
     block_owner,
     build_v,
@@ -196,19 +197,28 @@ def test_build_v_empty_column_is_zero():
 def brute_force_sum_decode(field, y0, g, dither_sum, pmf):
     """Independent ML oracle: plain loops over candidates and positions.
 
-    Returns the first candidate in ascending big-endian order with the
-    highest score and the number of candidates that reach that score.
-    Logs are added in position order, as the decoder's row sums add them
-    for n < 8, so scores compare exactly.
+    Codewords are sums of row multiples read from the field's addition
+    and multiplication tables, not from the matrix kernel.  Returns the
+    first candidate in ascending big-endian order with the highest score
+    and the number of candidates that reach that score.  Logs are added
+    in position order, as the decoder's row sums add them for n < 8, so
+    scores compare exactly.
     """
-    k = g.shape[0]
+    elems = np.arange(field.order)
+    add = field.add(elems[:, None], elems[None, :])
+    mul = field.mul(elems[:, None], elems[None, :])
+    neg = field.neg(elems)
+    z = [int(add[y, neg[d]]) for y, d in zip(y0, dither_sum)]
+    k, n = g.shape
     best, best_score, ties = None, None, 0
     for cand in itertools.product(range(field.order), repeat=k):
-        c = gf.mat_mul(field, np.array(cand, dtype=np.int64), g)
+        c = np.zeros(n, dtype=np.int64)
+        for i in range(k):
+            c = add[c, mul[cand[i], g[i]]]
         score = 0.0
         ok = True
-        for t in range(g.shape[1]):
-            sym = field.sub(int(y0[t]), field.add(int(dither_sum[t]), int(c[t])))
+        for t, ct in enumerate(neg[c].tolist()):
+            sym = add[z[t], ct]
             if pmf[sym] == 0:
                 ok = False
                 break
@@ -267,20 +277,27 @@ def test_relay_decode_agrees_with_brute_force_oracle():
     # subset of F gives every feasible candidate the same float score, so
     # the tie-break is checked too; GF(9)'s laws are not symmetric under
     # negation, so the sign of the noise is checked as well.
+    # Entries are (order, k, draws, pmf); GF(8), GF(25) and GF(27) cover
+    # m = 3, p = 5 and p = 3 with m = 3.
     rng = stream(8, "oracle")
     laws = [
-        (2, [0.7, 0.3]),
-        (4, [0.7, 0.3, 0, 0]),
-        (4, [0.5, 0.5, 0, 0]),
-        (9, [0.5, 0.2, 0, 0.3, 0, 0, 0, 0, 0]),
-        (9, [0.25, 0.25, 0, 0, 0.25, 0, 0.25, 0, 0]),
+        (2, 2, 15, [0.7, 0.3]),
+        (4, 2, 15, [0.7, 0.3, 0, 0]),
+        (4, 2, 15, [0.5, 0.5, 0, 0]),
+        (9, 2, 15, [0.5, 0.2, 0, 0.3, 0, 0, 0, 0, 0]),
+        (9, 2, 15, [0.25, 0.25, 0, 0, 0.25, 0, 0.25, 0, 0]),
+        (8, 3, 4, [0.6, 0.1, 0, 0.2, 0, 0, 0.1, 0]),
+        (8, 3, 4, [0.5, 0, 0, 0, 0, 0.5, 0, 0]),
+        (25, 3, 2, [0.25, 0.25] + [0] * 5 + [0.25] + [0] * 12 + [0.25] + [0] * 4),
+        (27, 3, 2, [0.4, 0.3] + [0] * 10 + [0.3] + [0] * 14),
+        (27, 3, 2, [0.25, 0, 0, 0.25, 0.25] + [0] * 17 + [0.25] + [0] * 4),
     ]
     tied = 0
-    for order, pmf in laws:
+    for order, k, draws, pmf in laws:
         field = Field(order)
         up = UplinkSpec(field, np.array(pmf))
-        for _ in range(15):
-            k, n = 2, 4
+        for _ in range(draws):
+            n = 4
             g = gf.random_matrix(field, k, n, rng)
             q = gf.random_vec(field, n, rng)
             u = gf.random_vec(field, k, rng)
@@ -641,7 +658,7 @@ def test_codeword_symbol_frequencies_follow_a_nonuniform_input_dist():
 def test_shared_arrays_are_read_only():
     field = Field(3)
     _, _, scheme = compiled(field, lengths_l3())
-    shared = [_all_vectors(3, 2), scheme.relay, scheme.func]
+    shared = [_all_vectors(3, 2), _candidate_digits(Field(9), 2), scheme.relay, scheme.func]
     for user in scheme.users:
         shared += [user.image, user.keys, user.witnesses, user.r_known]
     for arr in shared:

@@ -7,6 +7,7 @@ from mwrelay.gf import (
     Field,
     FieldSpecError,
     default_reduction_poly,
+    exact_dtype,
     mat_mul,
     random_matrix,
     random_vec,
@@ -241,6 +242,28 @@ def test_mat_mul_float64_path_is_exact():
     assert mat_mul(f, u, g).tolist() == want
 
 
+@pytest.mark.parametrize("k", [268, 269])
+def test_mat_mul_exact_at_the_float32_boundary(k):
+    # 268 * 250^2 = 16,750,000 is the largest dot product float32 runs
+    # (below 2^24); k = 269 is the first length that falls to float64.
+    # Column 0 times row 1 is the all-250 product (k = 268) or, with one
+    # 249 * 249 term, the odd 16,812,001 that float32 cannot hold (k = 269).
+    f = Field(251)
+    assert exact_dtype(f, k) is (np.float32 if k == 268 else np.float64)
+    rng = stream(31, "matmul-boundary", k)
+    g = random_matrix(f, k, 5, rng)
+    g[:, 0] = 250
+    u = random_matrix(f, 4, k, rng)
+    u[1] = 250
+    if k == 269:
+        g[-1, 0] = u[1, -1] = 249
+    want = [[sum(int(x) * int(y) for x, y in zip(row, col)) % 251 for col in g.T] for row in u]
+    assert want[1][0] == {268: 16_750_000, 269: 16_812_001}[k] % 251
+    assert mat_mul(f, u, g).tolist() == want
+    for row, w in zip(u, want):
+        assert mat_mul(f, row, g).tolist() == w
+
+
 # -- independent oracle: polynomial arithmetic over GF(p) ------------------------
 
 
@@ -321,6 +344,17 @@ def test_field_ops_match_polynomial_oracle():
                 assert oracle_mul(f, x, f.inv(x)) == 1
     inv = Field(2).inv(np.array([1, 1, 1]))
     assert isinstance(inv, np.ndarray) and inv.tolist() == [1, 1, 1]
+
+
+def test_from_digits_matches_polynomial_value():
+    for order in prime_powers(256):
+        f = Field(order)
+        digits = [poly_digits(f, a) for a in range(order)]
+        want = [poly_value(f, d) for d in digits]
+        assert f.from_digits(np.array(digits)).tolist() == want
+        stacked = np.array(digits).reshape(order, 1, f.m)
+        assert f.from_digits(stacked).tolist() == [[w] for w in want]
+        assert f.from_digits(f.digits(np.arange(order))).tolist() == list(range(order))
 
 
 def brute_force_rank(tables, order, a):
