@@ -111,39 +111,43 @@ def mutual_info(dist: np.ndarray, w: np.ndarray) -> float:
     return entropy(out / out.sum()) + float(np.sum(dist * neg_entropy(w)))
 
 
-def most_likely(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> int:
+def most_likely(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> int | np.ndarray:
     """Exact ML: the first row of the input stack ``x`` maximizing sum_t log w[x_t, y_t].
 
+    ``x`` is (C, n) against outputs ``y`` (n,), giving an int, or a
+    (..., C, n) stack against (..., n), giving an index per stack.
     Callers stack candidates in ascending order, so ties go to the smallest.
     """
     # Row t of the table holds log w[., y_t], so one flat gather scores all rows.
     with np.errstate(divide="ignore"):
         table = np.log(w.T[y]).ravel()
-    return int(np.argmax(table[x + w.shape[0] * np.arange(y.size)].sum(axis=1)))
+    offsets = w.shape[0] * np.arange(y.size).reshape(y.shape)
+    best = np.argmax(table[x + offsets[..., None, :]].sum(axis=-1), axis=-1)
+    return int(best) if y.ndim == 1 else best
 
 
 def sample_uplink_noise(up: UplinkSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. noise symbols drawn from the uplink noise law."""
-    return _draw(up.noise_pmf[None, :], np.zeros(n, dtype=np.int64), rng)
+    return _draw(up.noise_pmf[None, :], np.zeros(n, dtype=np.int64), rng.random(n))
 
 
-def sample_downlink(
-    down: DownlinkSpec, a: int, x0: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """User ``a``'s outputs for the relay input sequence ``x0``."""
-    return _draw(down.channel(a), np.asarray(x0, dtype=np.int64), rng)
+def sample_downlink(down: DownlinkSpec, a: int, x0: np.ndarray, rng) -> np.ndarray:
+    """User ``a``'s outputs for the relay inputs ``x0`` (any shape).
+
+    ``rng`` is the generator to draw from, or the uniforms in [0, 1),
+    shaped like ``x0``, that were already drawn from one.
+    """
+    x0 = np.asarray(x0, dtype=np.int64)
+    return _draw(down.channel(a), x0, rng if isinstance(rng, np.ndarray) else rng.random(x0.shape))
 
 
-def _draw(w: np.ndarray, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One output per input in ``x`` through the rows of ``w``, by inverse CDF.
+def _draw(w: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One output per input in ``x`` through the rows of ``w``, by inverse CDF of ``u``.
 
     Each draw is capped at its row's last positive-probability symbol,
     which float roundoff in the cumulative sum could otherwise pass.
     """
-    if x.size == 0:
-        return np.zeros(0, dtype=np.int64)
     cdf = np.cumsum(w, axis=1)
     last = (w.shape[1] - 1) - np.argmax(w[:, ::-1] > 0, axis=1)
-    u = rng.random(x.size)
-    out = np.sum(cdf[x] < u[:, None], axis=1).astype(np.int64)
+    out = np.sum(cdf[x] < u[..., None], axis=-1).astype(np.int64)
     return np.minimum(out, last[x])

@@ -267,7 +267,7 @@ def cmd_schedule_build(cfg: dict, args) -> int:
 def _stats_row(value, st: sim.ErrorStats) -> str:
     return (
         f"{value:g},{st.trials},{st.failures},{st.p_hat:.8f},"
-        f"{st.lo95:.8f},{st.hi95:.8f},{st.redraws}"
+        f"{st.lo95:.8f},{st.hi95:.8f},{st.redraws},{st.uplink_failures},{st.downlink_failures}"
     )
 
 
@@ -303,7 +303,7 @@ def cmd_simulate(cfg: dict, args) -> int:
         print(f"quantized symbol lengths at {axis}={v}: {ks or 'all zero'}", file=sys.stderr)
     progress = (lambda line: print(line, file=sys.stderr)) if "sweep" in cfg else None
     rows = sim.sweep(trial_cfg, axis, values, threads=args.threads, progress=progress)
-    header = "axis_value,trials,failures,p_hat,lo95,hi95,redraws"
+    header = "axis_value,trials,failures,p_hat,lo95,hi95,redraws,uplink_fail,downlink_fail"
     _emit(header + "\n" + "\n".join(_stats_row(v, st) for v, st in rows) + "\n", args.out)
     return 0
 

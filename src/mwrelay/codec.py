@@ -45,7 +45,11 @@ class CapabilityError(RuntimeError):
 
 @dataclass
 class BlockCode:
-    """Shared generator matrix plus per-transmitter dithers for one block."""
+    """Shared generator matrix plus per-transmitter dithers for one block.
+
+    A stack of codes, one per trial, holds a (T, k, n) generator and
+    (T, n) dithers.
+    """
 
     k: int
     n: int
@@ -110,11 +114,12 @@ def make_block_codes(
 
 
 def encode_uplink(u: np.ndarray, code: BlockCode, transmitter: int, field: Field) -> np.ndarray:
-    """Codeword (u G) plus the transmitter's dither."""
+    """Codeword (u G) plus the transmitter's dither; (T, k) messages for a stack of codes."""
     u = np.asarray(u, dtype=np.int64)
-    if u.shape[0] != code.k:
-        raise ValueError(f"message length {u.shape[0]} != k={code.k}")
-    return field.add(gf.mat_mul(field, u, code.generator), code.dithers[transmitter])
+    if u.shape[-1] != code.k:
+        raise ValueError(f"message length {u.shape[-1]} != k={code.k}")
+    word = gf.mat_mul(field, u[..., None, :], code.generator)[..., 0, :]
+    return field.add(word, code.dithers[transmitter])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -154,30 +159,39 @@ def relay_decode_sum(
 
     Each candidate codeword is an input of the F x F channel law[x, y] =
     noise_pmf[y - x], whose output is y0 minus the combined dither; ties
-    go to the smallest candidate in the big-endian integer encoding.
+    go to the smallest candidate in the big-endian integer encoding.  For
+    a stack of codes, ``y0`` and ``dither_sum`` are (T, n), every trial's
+    candidates come from one product, and the estimates are (T, k).
     """
     field = up.field
     y0 = np.asarray(y0, dtype=np.int64)
-    if y0.shape[0] != code.n:
-        raise ValueError(f"received length {y0.shape[0]} != n={code.n}")
+    if y0.shape[-1] != code.n:
+        raise ValueError(f"received length {y0.shape[-1]} != n={code.n}")
     z = field.sub(y0, np.asarray(dither_sum, dtype=np.int64))
     symbols = np.arange(field.order)
     law = up.noise_pmf[field.sub(symbols, symbols[:, None])]
     words = gf.mat_mul_digits(field, _candidate_digits(field, code.k), code.generator)
-    return _all_vectors(field.order, code.k)[most_likely(law, words, z)].copy()
+    return np.take(_all_vectors(field.order, code.k), most_likely(law, words, z), axis=0)
+
+
+def _uplink_noise(up: UplinkSpec, n: int, rng) -> np.ndarray:
+    """``rng`` when it holds noise already drawn, else n symbols drawn from it."""
+    return rng if isinstance(rng, np.ndarray) else sample_uplink_noise(up, n, rng)
 
 
 def send_block(
-    code: BlockCode, inputs: dict[int, np.ndarray], up: UplinkSpec, rng: np.random.Generator
+    code: BlockCode, inputs: dict[int, np.ndarray], up: UplinkSpec, rng
 ) -> np.ndarray:
     """One block over the noisy uplink: the relay's estimate of the input sum.
 
     ``inputs`` maps each transmitter to its message; each sends its
-    dithered codeword, the channel adds noise drawn from ``rng``, and
-    the relay decodes with the transmitters' dither sum.
+    dithered codeword, the channel adds noise, and the relay decodes with
+    the transmitters' dither sum.  ``rng`` is the generator to draw the
+    noise from, or the noise already drawn.  A stack of codes takes (T, k)
+    messages and (T, n) noise.
     """
     field = up.field
-    y0 = sample_uplink_noise(up, code.n, rng)
+    y0 = _uplink_noise(up, code.n, rng)
     for t, u in inputs.items():
         y0 = field.add(y0, encode_uplink(u, code, t, field))
     return relay_decode_sum(y0, code, reduce(field.add, [code.dithers[t] for t in inputs]), up)
@@ -223,20 +237,18 @@ class Scheme:
 
 
 def _word_keys(field: Field, words: np.ndarray) -> np.ndarray:
-    """Big-endian integer index of each row of ``words``.
+    """Big-endian integer index of each word on the last axis of ``words``.
 
     Relay words of a compiled scheme always fit: user 1's image covers
     all F^N words of length N and passed the 2^20 enumeration bound.
     """
-    n = words.shape[1]
+    n = words.shape[-1]
     return words @ (field.order ** np.arange(n - 1, -1, -1, dtype=np.int64))
 
 
 def _symbols(messages: Messages, ids) -> np.ndarray:
-    """Message vectors concatenated in ``ids`` order."""
-    return np.concatenate(
-        [np.zeros(0, dtype=np.int64)] + [np.asarray(messages[m], dtype=np.int64) for m in ids]
-    )
+    """Message vectors, or (T, k) stacks of them, concatenated in ``ids`` order."""
+    return np.concatenate([np.asarray(messages[m], dtype=np.int64) for m in ids], axis=-1)
 
 
 def compile_scheme(field: Field, table: MessageTable, cols: list[SimplifiedColumn]) -> Scheme:
@@ -286,7 +298,11 @@ def compile_scheme(field: Field, table: MessageTable, cols: list[SimplifiedColum
 
 
 def relay_word(scheme: Scheme, messages: Messages) -> np.ndarray:
-    """Noise-free relay word: per block, message plus function vector."""
+    """Noise-free relay word: per block, message plus function vector.
+
+    Here and below, messages may be (T, k) stacks, one row per trial,
+    and words are then (T, N).
+    """
     return gf.mat_mul(scheme.field, _symbols(messages, scheme.ids), scheme.relay)
 
 
@@ -300,14 +316,22 @@ def uplink_round(
     messages: Messages,
     codes: dict[MsgId, BlockCode],
     up: UplinkSpec,
-    rng: np.random.Generator,
+    rng,
 ) -> np.ndarray:
-    """The relay's estimate of the concatenated block sums: one ``send_block`` a block."""
+    """The relay's estimate of the concatenated block sums: one ``send_block`` a block.
+
+    ``rng`` is the generator to draw the uplink noise from, or the noise
+    already drawn, (..., n): the blocks' noise concatenated in block order.
+    """
+    noise = _uplink_noise(up, sum(c.n for c in codes.values()), rng)
     v = build_v(scheme, messages)
-    return np.concatenate([
-        send_block(codes[b], {block_owner(b): messages[b], 1: v[at : at + codes[b].k]}, up, rng)
-        for b, at in scheme.table.block_offsets().items()
-    ])
+    out, start = [], 0
+    for b, at in scheme.table.block_offsets().items():
+        code = codes[b]
+        inputs = {block_owner(b): messages[b], 1: v[..., at : at + code.k]}
+        out.append(send_block(code, inputs, up, noise[..., start : start + code.n]))
+        start += code.n
+    return np.concatenate(out, axis=-1)
 
 
 # -- downlink ---------------------------------------------------------------------
@@ -318,7 +342,7 @@ class CandidateSet:
     """Distinct relay words consistent with one user's prior messages.
 
     ``words`` rows are sorted lexicographically (equal to ascending
-    big-endian integer index).
+    big-endian integer index); (T, C, N) for stacked messages.
     """
 
     words: np.ndarray
@@ -332,8 +356,9 @@ def _known_offset(scheme: Scheme, user: UserMap, known: Messages) -> np.ndarray:
 def candidate_set(scheme: Scheme, a: int, known: Messages) -> CandidateSet:
     """The relay words user ``a`` cannot rule out a priori: u0 plus its image."""
     user = scheme.users[a - 1]
-    words = scheme.field.add(user.image, _known_offset(scheme, user, known))
-    return CandidateSet(words[np.argsort(_word_keys(scheme.field, words))])
+    words = scheme.field.add(user.image, _known_offset(scheme, user, known)[..., None, :])
+    order = np.argsort(_word_keys(scheme.field, words), axis=-1)
+    return CandidateSet(np.take_along_axis(words, order[..., None], axis=-2))
 
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -361,32 +386,42 @@ class DownlinkCodebook:
     per-position odd multipliers, each a SplitMix64 output of the key and
     the position, and mixed into the word's seed; position t of the
     codeword is output t + 1 of the SplitMix64 sequence from that seed.
-    Words that differ in one position never share a seed.
+    Words that differ in one position never share a seed.  A (T,) array
+    of keys holds one codebook per trial.
     """
 
-    def __init__(self, input_dist: np.ndarray, n_dl: int, key: int):
+    def __init__(self, input_dist: np.ndarray, n_dl: int, key: int | np.ndarray):
         self.input_dist = validate_pmf(input_dist, "input distribution")
         if self.input_dist.ndim != 1:
             raise ValueError("input distribution must be 1-D")
         self.n_dl = int(n_dl)
-        self.key = np.uint64(key)
+        self.key = np.asarray(key, dtype=np.uint64)
         self._counters = _GAMMA * np.arange(1, self.n_dl + 1, dtype=np.uint64)
-        self._cdf = np.cumsum(self.input_dist)
-        self._last = int(np.nonzero(self.input_dist)[0][-1])
+        # A draw m * 2^-53 lies above cdf[x] exactly when m > floor(cdf[x] * 2^53),
+        # as both sides scale by a power of two.  Counting the CDF steps below the
+        # last positive-probability symbol that m passes is channel._draw's
+        # inverse-CDF rule; on a (10 x 32 x 64) binary stack it takes about 15 us
+        # where np.searchsorted on the float draws took 160 us (one Xeon core).
+        last = int(np.nonzero(self.input_dist)[0][-1])
+        self._steps = np.floor(np.cumsum(self.input_dist)[:last] * 2.0**53).astype(np.uint64)
 
     def codeword(self, u: np.ndarray) -> np.ndarray:
-        """The codeword of one word, or the (C, n_dl) rows of a (C, len) stack."""
-        u = np.asarray(u, dtype=np.int64)
-        words = np.atleast_2d(u).astype(np.uint64)
-        positions = np.arange(1, words.shape[1] + 1, dtype=np.uint64)
-        multipliers = _splitmix(self.key + _GAMMA * positions) | np.uint64(1)
-        seeds = _splitmix(self.key + (words + np.uint64(1)) @ multipliers)
-        draws = (_splitmix(seeds[:, None] + self._counters) >> np.uint64(11)) * 2.0**-53
-        # channel._draw's inverse-CDF rule for the one row all draws share:
-        # on a (32 x 64) binary stack searchsorted takes about 20 us and
-        # _draw's per-draw compare-and-sum 100-130 us (one Xeon core).
-        rows = np.minimum(np.searchsorted(self._cdf, draws), self._last)
-        return rows[0] if u.ndim == 1 else rows
+        """The codeword of each word on the last axis of ``u``: (..., len) -> (..., n_dl).
+
+        With T keys, the leading axis of ``u`` is the trial axis.
+        """
+        words = np.asarray(u, dtype=np.int64).astype(np.uint64)
+        # The key as an array of words.ndim axes keeps every uint64 product an
+        # array operation, which wraps silently where a scalar one warns.
+        key = self.key.reshape(self.key.shape + (1,) * (words.ndim - self.key.ndim))
+        positions = np.arange(1, words.shape[-1] + 1, dtype=np.uint64)
+        multipliers = _splitmix(key + _GAMMA * positions) | np.uint64(1)
+        mixed = ((words + np.uint64(1)) * multipliers).sum(axis=-1, keepdims=True, dtype=np.uint64)
+        draws = _splitmix(_splitmix(key + mixed) + self._counters) >> np.uint64(11)
+        rows = np.zeros(draws.shape, dtype=np.int64)
+        for step in self._steps:
+            rows += draws > step
+        return rows
 
 
 def user_decode_word(
@@ -401,7 +436,7 @@ def user_decode_word(
         raise ValueError("codebook alphabet exceeds the downlink input alphabet")
     x = codebook.codeword(candidates.words)
     best = most_likely(down.channel(a), x, np.asarray(y_a, dtype=np.int64))
-    return candidates.words[best].copy()
+    return np.take_along_axis(candidates.words, np.asarray(best)[..., None, None], axis=-2)[..., 0, :]
 
 
 def recover_messages(scheme: Scheme, a: int, word: np.ndarray, known: Messages) -> Messages:
@@ -413,13 +448,14 @@ def recover_messages(scheme: Scheme, a: int, word: np.ndarray, known: Messages) 
     user = scheme.users[a - 1]
     word = np.asarray(word, dtype=np.int64)
     rest = scheme.field.sub(word, _known_offset(scheme, user, known))
-    key = _word_keys(scheme.field, rest[None, :])[0]
-    i = int(np.searchsorted(user.keys, key))
-    if i == user.keys.size or user.keys[i] != key:
+    key = _word_keys(scheme.field, rest)
+    i = np.minimum(np.searchsorted(user.keys, key), user.keys.size - 1)
+    if np.any(user.keys[i] != key):
         raise ValueError(f"user {a}: {word.tolist()} is not a candidate relay word")
+    witnesses = np.take(user.witnesses, i, axis=0)
     out, at = {}, 0
     for m in user.unknown:
         k = scheme.table.lengths.k[m]
-        out[m] = user.witnesses[i, at : at + k].copy()
+        out[m] = witnesses[..., at : at + k]
         at += k
     return out

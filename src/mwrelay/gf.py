@@ -213,19 +213,21 @@ class Field:
         """GF(p)-linear expansion of right multiplication by matrix ``a``.
 
         Returns a (rows*m, cols*m) integer matrix E with
-        digit_rows(u @ a) = digit_rows(u) @ E (mod p).
+        digit_rows(u @ a) = digit_rows(u) @ E (mod p); a (..., rows, cols)
+        stack gives a stack of expansions.
         """
         a = np.asarray(a, dtype=np.int64)
-        rows, cols = a.shape
-        return self._reps[a].transpose(0, 2, 1, 3).reshape(rows * self.m, cols * self.m)
+        *lead, rows, cols = a.shape
+        e = np.swapaxes(self._reps[a], -3, -2)
+        return e.reshape(*lead, rows * self.m, cols * self.m)
 
     def digit_rows(self, v: np.ndarray) -> np.ndarray:
-        """(B, k) elements -> (B, k*m) GF(p) digit rows."""
+        """(..., k) elements -> (..., k*m) GF(p) digit rows."""
         v = np.asarray(v, dtype=np.int64)
-        return self.digits(v).reshape(v.shape[0], v.shape[1] * self.m)
+        return self.digits(v).reshape(*v.shape[:-1], v.shape[-1] * self.m)
 
     def rows_from_digits(self, d: np.ndarray) -> np.ndarray:
-        return self.from_digits(d.reshape(d.shape[0], d.shape[1] // self.m, self.m))
+        return self.from_digits(d.reshape(*d.shape[:-1], d.shape[-1] // self.m, self.m))
 
     def __eq__(self, other):
         return (
@@ -247,14 +249,18 @@ class Field:
 
 
 def mat_mul(field: Field, u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Row vector, or (B, k) stack of row vectors, times a (k, n) matrix."""
+    """u @ g over the field, with numpy's matmul shapes.
+
+    ``u`` is a row vector or a (..., B, k) stack of row vectors, ``g`` a
+    (k, n) matrix or a (..., k, n) stack of them; leading axes broadcast.
+    """
     u = np.asarray(u, dtype=np.int64)
     g = np.asarray(g, dtype=np.int64)
-    if u.ndim not in (1, 2) or g.ndim != 2 or u.shape[-1] != g.shape[0]:
+    if u.ndim < 1 or g.ndim < 2 or u.shape[-1] != g.shape[-2]:
         raise ValueError(f"dimension mismatch: u has {u.shape}, G has {g.shape}")
-    rows = np.atleast_2d(u)
+    rows = u[None] if u.ndim == 1 else u
     out = mat_mul_digits(field, field.digit_rows(rows) if field.m > 1 else rows, g)
-    return out[0] if u.ndim == 1 else out
+    return out[..., 0, :] if u.ndim == 1 else out
 
 
 def exact_dtype(field: Field, k: int) -> type:
@@ -263,13 +269,13 @@ def exact_dtype(field: Field, k: int) -> type:
 
 
 def mat_mul_digits(field: Field, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(B, k*m) digit rows times a (k, n) matrix, as (B, n) elements.
+    """(..., B, k*m) digit rows times a (..., k, n) matrix stack, as (..., B, n) elements.
 
     One BLAS product in ``exact_dtype``, reduced as s - p*floor(s/p).  That is
     exact: for s = qp + r below 2^24 (2^53 in float64), s/p is at least 1/p below
     q+1, and half an ulp of q is at most q*2^-24 < 1/p as qp <= s, so floor is q.
     """
-    dtype = exact_dtype(field, g.shape[0])
+    dtype = exact_dtype(field, g.shape[-2])
     e = field.expand_matrix(g) if field.m > 1 else g
     s = rows.astype(dtype, copy=False) @ e.astype(dtype)
     s -= field.p * np.floor(s / field.p)

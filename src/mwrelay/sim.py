@@ -3,12 +3,18 @@
 A trial is one draw from the random-coding ensemble: it runs the uplink,
 broadcasts the relay's decoded word over the downlink, and counts a
 failure when any user decodes any of its required messages wrongly.
-Each trial draws everything from one Philox stream keyed by the master
-seed and the trial index, in a fixed order: messages (in
-``message_ids`` order), block codes (in block order, redraws included),
-uplink noise (in block order), the codebook key, then the downlink
-outputs of users 1..L.  Results therefore do not depend on thread count
-or execution order.
+
+Trials run in two phases.  The draw phase takes everything a trial needs
+from one Philox stream keyed by the master seed and the trial index, in
+a fixed order: messages (in ``message_ids`` order), block codes (in
+block order, redraws included), uplink noise (in block order), the
+codebook key, then the downlink uniforms of users 1..L.  No draw's size
+depends on a decoded value (a user's outputs are its uniforms pushed
+through the channel row of the input it receives), so every draw can be
+made before any decoding.  The decode phase then runs a chunk of trials
+through the ``codec`` functions at once, with a leading trial axis.
+Results therefore do not depend on thread count, chunk size or
+execution order.
 """
 
 from __future__ import annotations
@@ -22,10 +28,19 @@ import numpy as np
 
 from . import codec, gf
 from .capacity import RateTuple
-from .channel import DownlinkSpec, UplinkSpec, sample_downlink
+from .channel import DownlinkSpec, UplinkSpec, sample_downlink, sample_uplink_noise
 from .rng import stream
-from .schedule import SymbolLengths, build_table, reindex_users
+from .schedule import MsgId, SymbolLengths, build_table, reindex_users
 from .shuffle import run_shuffle, simplify
+
+# Largest stacked array, in elements, one chunk of trials may build: the
+# relay's candidate words (F^k x n a block) or a user's candidate codewords
+# (C x n_dl).  Chunks share each call's fixed cost: noisy_uplink_small's
+# 10-trial chunk (20,480 elements) ran 0.49 ms a trial against 0.59 in
+# chunks of 8 and 2.  Large products gain nothing: two GF(4), k=6, n=16
+# relay products (65,536 elements each) ran 1.7 ms a trial against 1.1
+# one at a time (2 vCPU Xeon).
+_STACK_BUDGET = 2**15
 
 
 def _symbols(order: int, bits: Fraction) -> int:
@@ -82,17 +97,28 @@ class TrialConfig:
 
 @dataclass
 class ErrorStats:
+    """Failures with their 95% interval, redraws and the error events seen.
+
+    ``uplink_failures`` counts trials whose relay word differs from the
+    noise-free one; ``downlink_failures`` trials where some user decoded
+    a word other than the one broadcast.
+    """
+
     trials: int
     failures: int
     p_hat: float
     lo95: float
     hi95: float
     redraws: int
+    uplink_failures: int = 0
+    downlink_failures: int = 0
 
     @classmethod
-    def from_counts(cls, failures: int, trials: int, redraws: int = 0) -> "ErrorStats":
+    def from_counts(
+        cls, failures: int, trials: int, redraws: int = 0, uplink: int = 0, downlink: int = 0
+    ) -> "ErrorStats":
         lo, hi = wilson_interval(failures, trials)
-        return cls(trials, failures, failures / trials, lo, hi, redraws)
+        return cls(trials, failures, failures / trials, lo, hi, redraws, uplink, downlink)
 
 
 def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
@@ -111,45 +137,81 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _run_trial(
-    cfg: TrialConfig, down: DownlinkSpec, scheme: codec.Scheme, t: int
-) -> tuple[bool, int]:
+@dataclass
+class _Draws:
+    """Everything one trial takes from its stream, in the order it is drawn."""
+
+    messages: codec.Messages
+    codes: dict[MsgId, codec.BlockCode]
+    redraws: int
+    noise: np.ndarray
+    key: np.uint64
+    uniforms: np.ndarray  # (L, n_dl), users 1..L's downlink draws
+
+
+def _draw_trial(cfg: TrialConfig, scheme: codec.Scheme, t: int) -> _Draws:
     field = cfg.up.field
-    lengths = scheme.table.lengths
-
     rng = stream(cfg.master_seed, "trial", t)
-    messages = {m: gf.random_vec(field, lengths.k[m], rng) for m in scheme.ids}
+    messages = {m: gf.random_vec(field, scheme.table.lengths.k[m], rng) for m in scheme.ids}
     codes, redraws = codec.make_block_codes(scheme.table, cfg.n, field, rng)
-    word_hat = codec.uplink_round(scheme, messages, codes, cfg.up, rng)
-
+    noise = sample_uplink_noise(cfg.up, sum(c.n for c in codes.values()), rng)
     key = rng.integers(0, 2**64, dtype=np.uint64)
-    codebook = codec.DownlinkCodebook(np.full(down.input_size, 1 / down.input_size), cfg.n_dl, key)
-    x0 = codebook.codeword(word_hat)
+    uniforms = rng.random((scheme.table.num_users, cfg.n_dl))
+    return _Draws(messages, codes, redraws, noise, key, uniforms)
 
-    for a in range(1, lengths.num_users + 1):
+
+def _stack_codes(codes) -> codec.BlockCode:
+    """One trial's code per entry, as a stack of codes."""
+    first = codes[0]
+    dithers = {t: np.array([c.dithers[t] for c in codes]) for t in first.dithers}
+    return codec.BlockCode(first.k, first.n, np.array([c.generator for c in codes]), dithers)
+
+
+def _decode_trials(
+    cfg: TrialConfig, down: DownlinkSpec, scheme: codec.Scheme, draws: list[_Draws]
+) -> tuple[int, int, int, int]:
+    """Failures, redraws, uplink and downlink events of a chunk of drawn trials."""
+    messages = {m: np.array([d.messages[m] for d in draws]) for m in scheme.ids}
+    codes = {b: _stack_codes([d.codes[b] for d in draws]) for b in draws[0].codes}
+    noise = np.array([d.noise for d in draws])
+    word_hat = codec.uplink_round(scheme, messages, codes, cfg.up, noise)
+    uplink = np.any(word_hat != codec.relay_word(scheme, messages), axis=-1)
+
+    keys = np.array([d.key for d in draws])
+    codebook = codec.DownlinkCodebook(np.full(down.input_size, 1 / down.input_size), cfg.n_dl, keys)
+    x0 = codebook.codeword(word_hat)
+    uniforms = np.array([d.uniforms for d in draws])
+    downlink = failed = np.zeros(len(draws), dtype=bool)
+    for a in range(1, scheme.table.num_users + 1):
         known = {m: v for m, v in messages.items() if a in m}
         cands = codec.candidate_set(scheme, a, known)
-        y_a = sample_downlink(down, a, x0, rng)
+        y_a = sample_downlink(down, a, x0, uniforms[:, a - 1])
         word_a = codec.user_decode_word(y_a, codebook, cands, down, a)
-        recovered = codec.recover_messages(scheme, a, word_a, known)
-        for m, v in recovered.items():
-            if not np.array_equal(v, messages[m]):
-                return True, redraws
-    return False, redraws
+        downlink = downlink | np.any(word_a != word_hat, axis=-1)
+        for m, v in codec.recover_messages(scheme, a, word_a, known).items():
+            failed = failed | np.any(v != messages[m], axis=-1)
+    if np.any(failed & ~uplink & ~downlink):
+        raise RuntimeError("every relay word decoded correctly, yet a message was recovered wrongly")
+    return int(failed.sum()), sum(d.redraws for d in draws), int(uplink.sum()), int(downlink.sum())
 
 
-def _tally(job, trials: int, threads: int) -> ErrorStats:
-    """Failures and redraws of ``job(t) -> (failed, redraws)`` over all trials.
+def _tally(job, trials: int, threads: int, per_trial: int) -> ErrorStats:
+    """ErrorStats from ``job(chunk) -> (failures, redraws, uplink, downlink)`` over all trials.
 
-    Runs on up to ``threads`` threads; each trial draws from its own
-    stream, so the counts do not depend on the thread count.
+    Trials go to ``job`` in contiguous chunks whose stacked arrays, at
+    ``per_trial`` elements a trial, stay within ``_STACK_BUDGET``; the
+    chunks run on up to ``threads`` threads.  Each trial draws from its
+    own stream, so the counts depend on neither chunk size nor thread count.
     """
+    size = max(1, _STACK_BUDGET // per_trial)
+    chunks = [range(s, min(s + size, trials)) for s in range(0, trials, size)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, range(trials)))
+            results = list(pool.map(job, chunks))
     else:
-        results = [job(t) for t in range(trials)]
-    return ErrorStats.from_counts(sum(f for f, _ in results), trials, sum(r for _, r in results))
+        results = [job(c) for c in chunks]
+    failures, redraws, uplink, downlink = (sum(col) for col in zip(*results))
+    return ErrorStats.from_counts(failures, trials, redraws, uplink, downlink)
 
 
 def run_trials(cfg: TrialConfig, threads: int = 1) -> ErrorStats:
@@ -167,8 +229,16 @@ def run_trials(cfg: TrialConfig, threads: int = 1) -> ErrorStats:
     table = build_table(lengths)
     cols, _ = run_shuffle(simplify(table))
     scheme = codec.compile_scheme(cfg.up.field, table, cols)
+    block_n = codec.allocate_block_lengths(table, cfg.n)
+    per_trial = max(
+        [cfg.up.field.order ** b.width * block_n[b.msg] for b in table.blocks]
+        + [user.image.shape[0] * cfg.n_dl for user in scheme.users]
+    )
 
-    return _tally(lambda t: _run_trial(cfg, down, scheme, t), cfg.trials, threads)
+    def job(chunk: range) -> tuple[int, int, int, int]:
+        return _decode_trials(cfg, down, scheme, [_draw_trial(cfg, scheme, t) for t in chunk])
+
+    return _tally(job, cfg.trials, threads, per_trial)
 
 
 def at_axis_value(cfg: TrialConfig, axis: str, v) -> TrialConfig:
@@ -211,19 +281,27 @@ def sum_decode_trials(
 
     Per trial, ``codec.block_code`` draws a fresh full-rank code with
     dithers for transmitters 1 and 2 (rank-deficient draws are counted),
-    two uniform messages go through ``codec.send_block``, and a failure
-    is counted when the relay's ML estimate differs from their field sum.
-    Code, messages and noise come from one stream per trial, in that order.
+    then two uniform messages and the uplink noise are drawn, and a
+    failure (an uplink one) is counted when the relay's ML estimate
+    differs from the messages' field sum.  Everything comes from one
+    stream per trial, in that order; chunks of trials go through
+    ``codec.send_block`` as stacks.
     """
     field = up.field
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}; no full-rank code exists")
 
-    def job(t: int) -> tuple[bool, int]:
+    def draw(t: int):
         rng = stream(master_seed, "sum-decode", t)
         code, redraws = codec.block_code(field, k, n, (1, 2), rng)
-        u = {1: gf.random_vec(field, k, rng), 2: gf.random_vec(field, k, rng)}
-        est = codec.send_block(code, u, up, rng)
-        return not np.array_equal(est, field.add(u[1], u[2])), redraws
+        u1, u2 = gf.random_vec(field, k, rng), gf.random_vec(field, k, rng)
+        return code, redraws, u1, u2, sample_uplink_noise(up, n, rng)
 
-    return _tally(job, trials, threads)
+    def job(chunk: range) -> tuple[int, int, int, int]:
+        codes, redraws, u1, u2, noise = zip(*[draw(t) for t in chunk])
+        u = {1: np.array(u1), 2: np.array(u2)}
+        est = codec.send_block(_stack_codes(codes), u, up, np.array(noise))
+        failed = int(np.any(est != field.add(u[1], u[2]), axis=-1).sum())
+        return failed, sum(redraws), failed, 0
+
+    return _tally(job, trials, threads, field.order**k * n)

@@ -102,7 +102,7 @@ def test_simulate_zero_noise(tmp_path, capsys):
     )
     assert code == 0
     lines = out_file.read_text().strip().splitlines()
-    assert lines[0] == "axis_value,trials,failures,p_hat,lo95,hi95,redraws"
+    assert lines[0] == "axis_value,trials,failures,p_hat,lo95,hi95,redraws,uplink_fail,downlink_fail"
     fields = lines[1].split(",")
     assert fields[1] == "200" and fields[2] == "0"
 

@@ -669,3 +669,82 @@ def test_shared_arrays_are_read_only():
     known = {m: v for m, v in msgs.items() if 2 in m}
     rec = recover_messages(scheme, 2, relay_word(scheme, msgs), known)
     rec[(1,)][0] = 0
+
+
+def test_stacked_calls_equal_per_trial_calls():
+    # A leading trial axis on every input gives each trial's single-call result.
+    trials = 5
+    for order in (2, 3, 4):
+        field = Field(order)
+        up = UplinkSpec(field, np.array([0.7] + [0.3 / (order - 1)] * (order - 1)))
+        down = bsc_downlink(3, 0.2)
+        t, cols, scheme = compiled(field, lengths_l3())
+        rng = stream(8, "stacked", order)
+        msgs = [random_messages(field, lengths_l3(), rng) for _ in range(trials)]
+        codes = [make_block_codes(t, 2 * t.total_cols, field, rng)[0] for _ in range(trials)]
+        noise = [sample_uplink_noise(up, 2 * t.total_cols, rng) for _ in range(trials)]
+        keys = rng.integers(0, 2**64, size=trials, dtype=np.uint64)
+        uniforms = rng.random((trials, 6))
+        stacked = {m: np.stack([mm[m] for mm in msgs]) for m in msgs[0]}
+        stacked_codes = {
+            b: BlockCode(c.k, c.n, np.stack([cc[b].generator for cc in codes]),
+                         {s: np.stack([cc[b].dithers[s] for cc in codes]) for s in c.dithers})
+            for b, c in codes[0].items()
+        }
+        words = uplink_round(scheme, stacked, stacked_codes, up, np.stack(noise))
+        cb = DownlinkCodebook(np.array([0.5, 0.5]), 6, keys)
+        x0 = cb.codeword(words)
+        for i in range(trials):
+            assert np.array_equal(words[i], uplink_round(scheme, msgs[i], codes[i], up, noise[i]))
+            assert np.array_equal(
+                x0[i], DownlinkCodebook(np.array([0.5, 0.5]), 6, keys[i]).codeword(words[i])
+            )
+        for a in range(1, 4):
+            known = {m: v for m, v in stacked.items() if a in m}
+            cand = candidate_set(scheme, a, known)
+            y = sample_downlink(down, a, x0, uniforms)
+            got = user_decode_word(y, cb, cand, down, a)
+            rec = recover_messages(scheme, a, got, known)
+            for i in range(trials):
+                known_i = {m: v[i] for m, v in known.items()}
+                cand_i = candidate_set(scheme, a, known_i)
+                assert np.array_equal(cand.words[i], cand_i.words)
+                cb_i = DownlinkCodebook(np.array([0.5, 0.5]), 6, keys[i])
+                assert np.array_equal(cb.codeword(cand.words)[i], cb_i.codeword(cand_i.words))
+                assert np.array_equal(y[i], sample_downlink(down, a, x0[i], uniforms[i]))
+                got_i = user_decode_word(y[i], cb_i, cand_i, down, a)
+                assert np.array_equal(got[i], got_i)
+                rec_i = recover_messages(scheme, a, got_i, known_i)
+                assert all(np.array_equal(rec[m][i], rec_i[m]) for m in rec_i)
+
+
+def ref_codeword(dist, n_dl, key, word):
+    """The documented codebook hash in Python integers, inverse CDF by bisection."""
+    import bisect
+
+    mask, gamma = 2**64 - 1, 0x9E3779B97F4A7C15
+
+    def splitmix(z):
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+        return z ^ (z >> 31)
+
+    mult = [splitmix((key + gamma * (j + 1)) & mask) | 1 for j in range(len(word))]
+    seed = splitmix((key + sum((int(w) + 1) * m for w, m in zip(word, mult))) & mask)
+    cdf = np.cumsum(dist).tolist()
+    last = max(i for i, p in enumerate(dist) if p > 0)
+    return [
+        min(bisect.bisect_left(cdf, (splitmix((seed + gamma * (t + 1)) & mask) >> 11) * 2.0**-53), last)
+        for t in range(n_dl)
+    ]
+
+
+def test_codeword_matches_the_hash_computed_in_python_integers():
+    rng = stream(8, "codeword-ref")
+    for dist in ([0.5, 0.5], [0.25, 0.25, 0.5], [0.55, 0.3, 0.0, 0.15], [0.2, 0.8, 0.0], [1.0, 0.0]):
+        keys = rng.integers(0, 2**64, size=3, dtype=np.uint64)
+        words = rng.integers(0, 4, size=(3, 4, 5))
+        rows = DownlinkCodebook(np.array(dist), 24, keys).codeword(words)
+        for i, key in enumerate(keys):
+            for j, word in enumerate(words[i]):
+                assert rows[i, j].tolist() == ref_codeword(dist, 24, int(key), word)

@@ -230,6 +230,14 @@ def test_mat_mul_matches_row_loop_for_vectors_and_stacks():
             want = np.stack([ref_mat_mul(f, row, g) for row in u])
             assert np.array_equal(mat_mul(f, u, g), want)
             assert np.array_equal(mat_mul(f, u[2], g), want[2])
+            # A stack of matrices takes a stack of row stacks, or one vector for all.
+            gs = np.stack([g, random_matrix(f, k, n, rng), random_matrix(f, k, n, rng)])
+            us = np.stack([u, random_matrix(f, 5, k, rng), random_matrix(f, 5, k, rng)])
+            got = mat_mul(f, us, gs)
+            assert got.shape == (3, 5, n)
+            for i in range(3):
+                assert np.array_equal(got[i], [ref_mat_mul(f, row, gs[i]) for row in us[i]])
+                assert np.array_equal(mat_mul(f, u[2], gs)[i], ref_mat_mul(f, u[2], gs[i]))
 
 
 def test_mat_mul_float64_path_is_exact():

@@ -1,14 +1,17 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mwrelay import sim
+from mwrelay import cli, codec, gf, sim
 from mwrelay.capacity import RateTuple
-from mwrelay.channel import UplinkSpec, identity_downlink
+from mwrelay.channel import DownlinkSpec, UplinkSpec, identity_downlink, sample_downlink
 from mwrelay.gf import Field
 from mwrelay.rng import stream
-from mwrelay.schedule import SymbolLengths
+from mwrelay.schedule import SymbolLengths, build_table, message_ids, reindex_users
+from mwrelay.shuffle import run_shuffle, simplify
 from mwrelay.sim import (
     ErrorStats,
     TrialConfig,
@@ -288,3 +291,142 @@ def test_end_to_end_noisy_uplink_runs():
     st = run_trials(cfg)
     assert st.trials == 30
     assert 0 <= st.failures <= 30
+
+
+# -- the trial-batched engine against the per-trial loop ---------------------------
+
+
+def ref_run_trial(cfg: TrialConfig, down, scheme, t: int) -> tuple[bool, int, bool, bool]:
+    """One trial drawn and decoded alone, the loop the batched engine replaced.
+
+    Returns (failed, redraws, uplink event, downlink event); every user is
+    decoded, so the events are complete.
+    """
+    field = cfg.up.field
+    lengths = scheme.table.lengths
+    rng = stream(cfg.master_seed, "trial", t)
+    messages = {m: gf.random_vec(field, lengths.k[m], rng) for m in scheme.ids}
+    codes, redraws = codec.make_block_codes(scheme.table, cfg.n, field, rng)
+    word_hat = codec.uplink_round(scheme, messages, codes, cfg.up, rng)
+    key = rng.integers(0, 2**64, dtype=np.uint64)
+    codebook = codec.DownlinkCodebook(np.full(down.input_size, 1 / down.input_size), cfg.n_dl, key)
+    x0 = codebook.codeword(word_hat)
+    failed = downlink = False
+    for a in range(1, lengths.num_users + 1):
+        known = {m: v for m, v in messages.items() if a in m}
+        cands = codec.candidate_set(scheme, a, known)
+        y_a = sample_downlink(down, a, x0, rng)
+        word_a = codec.user_decode_word(y_a, codebook, cands, down, a)
+        downlink |= not np.array_equal(word_a, word_hat)
+        recovered = codec.recover_messages(scheme, a, word_a, known)
+        failed |= any(not np.array_equal(v, messages[m]) for m, v in recovered.items())
+    uplink = not np.array_equal(word_hat, codec.relay_word(scheme, messages))
+    return failed, redraws, uplink, downlink
+
+
+def ref_trials(cfg: TrialConfig) -> list[tuple[bool, int, bool, bool]]:
+    order, lengths = reindex_users(cfg.resolved_lengths())
+    down = DownlinkSpec(cfg.down.input_size, tuple(cfg.down.channel(old) for old in order))
+    table = build_table(lengths)
+    cols, _ = run_shuffle(simplify(table))
+    scheme = codec.compile_scheme(cfg.up.field, table, cols)
+    return [ref_run_trial(cfg, down, scheme, t) for t in range(cfg.trials)]
+
+
+def counts(st: ErrorStats) -> tuple[int, int, int, int]:
+    return st.failures, st.redraws, st.uplink_failures, st.downlink_failures
+
+
+def bsc(q):
+    return np.array([[1 - q, q], [q, 1 - q]])
+
+
+def oracle_cfg(order, num_users, n, n_dl, q, trials=20, seed=3) -> TrialConfig:
+    rng = stream(seed, "oracle-lengths", order, num_users)
+    while True:
+        lengths = SymbolLengths(
+            num_users, {m: int(rng.integers(0, 3)) for m in message_ids(num_users)}
+        )
+        if max(order ** lengths.k_sum(a) for a in range(1, num_users + 1)) <= 1024:
+            break
+    noise = np.array([0.8] + [0.2 / (order - 1)] * (order - 1))
+    down = DownlinkSpec(2, tuple(bsc(q + 0.02 * a) for a in range(num_users)))
+    return TrialConfig(
+        UplinkSpec(Field(order), noise), down, n=n, n_dl=n_dl, trials=trials,
+        master_seed=seed, lengths=lengths,
+    )
+
+
+ORACLE_CASES = [(2, 3, 24, 8, 0.2), (3, 3, 24, 8, 0.2), (4, 4, 30, 10, 0.2), (2, 4, 30, 12, 0.0)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("order, num_users, n, n_dl, q", ORACLE_CASES)
+def test_batched_engine_matches_the_per_trial_loop(order, num_users, n, n_dl, q, threads):
+    cfg = oracle_cfg(order, num_users, n, n_dl, q)
+    ref = ref_trials(cfg)
+    want = tuple(sum(r[i] for r in ref) for i in range(4))
+    assert counts(run_trials(cfg, threads=threads)) == want
+    assert want[2] > 0  # relay errors occur
+    if q > 0:
+        assert want[3] > 0  # so do downlink word errors
+
+
+@pytest.mark.parametrize("chunk, sizes", [(1, [1] * 20), (3, [3] * 6 + [2])])
+def test_chunk_size_does_not_change_the_counts(monkeypatch, chunk, sizes):
+    cfg = oracle_cfg(2, 3, 24, 8, 0.2, trials=20)
+    want = counts(run_trials(cfg))
+    seen, chunks = [], []
+    tally, decode = sim._tally, sim._decode_trials
+
+    def spy_tally(job, trials, threads, per_trial):
+        seen.append(per_trial)
+        return tally(job, trials, threads, per_trial)
+
+    def spy_decode(cfg, down, scheme, draws):
+        chunks.append(len(draws))
+        return decode(cfg, down, scheme, draws)
+
+    monkeypatch.setattr(sim, "_tally", spy_tally)
+    monkeypatch.setattr(sim, "_decode_trials", spy_decode)
+    run_trials(cfg)
+    monkeypatch.setattr(sim, "_STACK_BUDGET", chunk * seen[0])
+    chunks.clear()
+    for threads in (1, 2):
+        assert counts(run_trials(cfg, threads=threads)) == want
+    # 20 trials in chunks of 3 leave an uneven last chunk of 2.
+    assert sorted(chunks) == sorted(sizes * 2)
+
+
+def test_sum_decode_counts_every_failure_as_an_uplink_event():
+    st = sum_decode_trials(UplinkSpec(Field(2), np.array([0.9, 0.1])), 6, 7, 40, 7)
+    assert (st.uplink_failures, st.downlink_failures) == (st.failures, 0) and st.failures > 0
+
+
+def bundled(name: str, seed: int) -> TrialConfig:
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "configs" / name).read_text())
+    up, down = cli.parse_channel(cfg["channel"])
+    return TrialConfig(
+        up, down, n=cfg["n"], n_dl=cfg["n_dl"], trials=cfg["trials"], master_seed=seed,
+        lengths=cli.parse_lengths(cfg["lengths"]),
+    )
+
+
+def test_error_events_on_the_bundled_configs():
+    zero = run_trials(bundled("zero_noise_roundtrip.json", 11))
+    assert (zero.failures, zero.uplink_failures, zero.downlink_failures) == (0, 0, 0)
+    noisy = bundled("noisy_uplink_small.json", 11)
+    st = run_trials(noisy)
+    either = sum(up or down for _, _, up, down in ref_trials(noisy))
+    assert 0 < st.uplink_failures <= st.failures <= either
+
+
+def test_a_wrong_recovery_from_right_words_is_an_internal_error(monkeypatch):
+    recover = codec.recover_messages
+
+    def corrupt(scheme, a, word, known):
+        return {m: v ^ 1 for m, v in recover(scheme, a, word, known).items()}
+
+    monkeypatch.setattr(codec, "recover_messages", corrupt)
+    with pytest.raises(RuntimeError, match="recovered wrongly"):
+        run_trials(zero_noise_cfg(trials=4))
