@@ -48,13 +48,21 @@ class BlockCode:
     """Shared generator matrix plus per-transmitter dithers for one block.
 
     A stack of codes, one per trial, holds a (T, k, n) generator and
-    (T, n) dithers.
+    (T, n) dithers.  ``words`` caches the codewords, see ``span``.
     """
 
     k: int
     n: int
     generator: np.ndarray
     dithers: dict[int, np.ndarray]
+    words: np.ndarray | None = None
+
+    def span(self, field: Field) -> np.ndarray:
+        """All F^k codewords, (..., F^k, n) in ``_all_vectors`` order; computed once, read-only."""
+        if self.words is None:
+            _all_vectors(field.order, self.k)  # raises past the enumeration bound
+            self.words = _frozen(gf.span(field, self.generator))
+        return self.words
 
 
 def block_owner(block: MsgId) -> int:
@@ -85,16 +93,17 @@ def block_code(
 ) -> tuple[BlockCode, int]:
     """A uniform k-by-n generator of rank k and one dither per transmitter.
 
-    Rank-deficient draws from ``rng`` are discarded and counted; the
-    dithers are drawn next, in ``transmitters`` order.  Returns the code
-    and the number of redraws.
+    Draws from ``rng`` whose span has a zero word besides 0 G (rank below
+    k) are discarded and counted; the dithers are drawn next, in
+    ``transmitters`` order.  Returns the code and the number of redraws.
     """
     redraws = 0
-    g = gf.random_matrix(field, k, n, rng)
-    while gf.rank(field, g) < k:
+    code = BlockCode(k, n, gf.random_matrix(field, k, n, rng), {})
+    while np.count_nonzero(~code.span(field).any(axis=-1)) != 1:
         redraws += 1
-        g = gf.random_matrix(field, k, n, rng)
-    return BlockCode(k, n, g, {t: gf.random_vec(field, n, rng) for t in transmitters}), redraws
+        code = BlockCode(k, n, gf.random_matrix(field, k, n, rng), {})
+    code.dithers = {t: gf.random_vec(field, n, rng) for t in transmitters}
+    return code, redraws
 
 
 def make_block_codes(
@@ -146,12 +155,6 @@ def _all_vectors(order: int, k: int) -> np.ndarray:
     return _frozen(out)
 
 
-@lru_cache(maxsize=16)
-def _candidate_digits(field: Field, k: int) -> np.ndarray:
-    """Digit rows of ``_all_vectors(field.order, k)`` in ``gf.exact_dtype``; read-only."""
-    return _frozen(field.digit_rows(_all_vectors(field.order, k)).astype(gf.exact_dtype(field, k)))
-
-
 def relay_decode_sum(
     y0: np.ndarray, code: BlockCode, dither_sum: np.ndarray, up: UplinkSpec
 ) -> np.ndarray:
@@ -160,8 +163,8 @@ def relay_decode_sum(
     Each candidate codeword is an input of the F x F channel law[x, y] =
     noise_pmf[y - x], whose output is y0 minus the combined dither; ties
     go to the smallest candidate in the big-endian integer encoding.  For
-    a stack of codes, ``y0`` and ``dither_sum`` are (T, n), every trial's
-    candidates come from one product, and the estimates are (T, k).
+    a stack of codes, ``y0`` and ``dither_sum`` are (T, n) and the
+    estimates (T, k).  The candidates are the code's cached span.
     """
     field = up.field
     y0 = np.asarray(y0, dtype=np.int64)
@@ -170,8 +173,7 @@ def relay_decode_sum(
     z = field.sub(y0, np.asarray(dither_sum, dtype=np.int64))
     symbols = np.arange(field.order)
     law = up.noise_pmf[field.sub(symbols, symbols[:, None])]
-    words = gf.mat_mul_digits(field, _candidate_digits(field, code.k), code.generator)
-    return np.take(_all_vectors(field.order, code.k), most_likely(law, words, z), axis=0)
+    return np.take(_all_vectors(field.order, code.k), most_likely(law, code.span(field), z), axis=0)
 
 
 def _uplink_noise(up: UplinkSpec, n: int, rng) -> np.ndarray:
@@ -282,7 +284,7 @@ def compile_scheme(field: Field, table: MessageTable, cols: list[SimplifiedColum
         known = tuple(m for m in ids if a in m)
         unknown = tuple(m for m in ids if a not in m)
         assignments = _all_vectors(field.order, len(rows(unknown)))
-        image = gf.mat_mul(field, assignments, relay[rows(unknown)])
+        image = gf.span(field, relay[rows(unknown)])
         keys = _word_keys(field, image)
         order = np.argsort(keys)
         if np.any(np.diff(keys[order]) == 0):

@@ -4,12 +4,13 @@ Field elements are plain integers in [0, F) whose base-p digits are the
 coefficients of a polynomial over GF(p); multiplication is carried out
 modulo a monic irreducible reduction polynomial of degree m.  A
 :class:`Field` holds the reduction polynomial and, for every element e,
-the m-by-m GF(p) matrix of multiplication by e; every product, inverse
-and matrix product goes through those matrices.  Rank and linear solves
-eliminate over GF(p) on the digit expansion of a matrix, where the
-statuses and solutions are those over GF(p^m).  Every operation takes
-the field explicitly, so element values themselves stay context-free
-ints (or numpy integer arrays).
+the m-by-m GF(p) matrix of multiplication by e, through which matrix
+products and (for m > 1) element products go; ``span`` lists a code's
+F^k words by additions alone.  Rank and linear solves eliminate over
+GF(p) on the digit expansion of a matrix, where the statuses and
+solutions are those over GF(p^m).  Every operation takes the field
+explicitly, so element values themselves stay context-free ints (or
+numpy integer arrays).
 
 Vectors are 1-D numpy arrays, matrices 2-D numpy arrays, both with
 entries in [0, F).
@@ -155,28 +156,29 @@ class Field:
     # -- element arithmetic ----------------------------------------------------
 
     def _element(self, d: np.ndarray, *operands):
-        """Element(s) with digits ``d`` mod p; a Python int when no operand is an array."""
-        out = self.from_digits(d % self.p)
+        """Element(s) from digits ``d`` (over GF(p), the elements) mod p; int for scalar operands."""
+        out = d % self.p if self.m == 1 else self.from_digits(d % self.p)
         return out if any(isinstance(x, np.ndarray) for x in operands) else int(out)
+
+    def _digitwise(self, op, *operands):
+        """``op`` digit by digit, mod p; over a prime field, on the elements widened to int64."""
+        lift = self.digits if self.m > 1 else (lambda x: np.asarray(x, dtype=np.int64))
+        return self._element(op(*map(lift, operands)), *operands)
 
     def add(self, a, b):
         """Digit-wise addition mod p (works on ints and integer arrays)."""
-        if self.p == 2:
-            return a ^ b
-        return self._element(self.digits(a) + self.digits(b), a, b)
+        return a ^ b if self.p == 2 else self._digitwise(np.add, a, b)
 
     def neg(self, a):
-        if self.p == 2:
-            return a if not isinstance(a, np.ndarray) else a.copy()
-        return self._element(-self.digits(a), a)
+        return self.sub(0, a)
 
     def sub(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        return self._element(self.digits(a) - self.digits(b), a, b)
+        return a ^ b if self.p == 2 else self._digitwise(np.subtract, a, b)
 
     def mul(self, a, b):
-        """Product through b's multiplication matrix: digits(a) @ reps[b]."""
+        """Product through b's multiplication matrix, digits(a) @ reps[b]; a * b mod p over GF(p)."""
+        if self.m == 1:
+            return self._digitwise(np.multiply, a, b)
         d = np.matmul(self.digits(a)[..., None, :], self._reps[np.asarray(b, dtype=np.int64)])
         return self._element(d[..., 0, :], a, b)
 
@@ -281,6 +283,21 @@ def mat_mul_digits(field: Field, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
     s -= field.p * np.floor(s / field.p)
     out = s.astype(np.int64)
     return field.rows_from_digits(out) if field.m > 1 else out
+
+
+def span(field: Field, g: np.ndarray) -> np.ndarray:
+    """All F^k words u g of a (..., k, n) generator stack, u big-endian: (..., F^k, n).
+
+    Doubling from the last row to the first, W <- c g_r + W for every c in F,
+    uses field additions alone, in the smallest unsigned dtype holding F - 1.
+    """
+    *lead, k, n = g.shape
+    dtype = np.min_scalar_type(field.order - 1)
+    multiples = field.mul(np.arange(field.order)[:, None, None], g[..., None, :, :]).astype(dtype)
+    words = np.zeros((*lead, 1, n), dtype=dtype)
+    for r in range(k - 1, -1, -1):
+        words = field.add(multiples[..., r, None, :], words[..., None, :, :]).reshape(*lead, -1, n)
+    return words.astype(dtype, copy=False)
 
 
 def _eliminate(p: int, m: np.ndarray) -> list[int]:

@@ -36,10 +36,10 @@ from .shuffle import run_shuffle, simplify
 # Largest stacked array, in elements, one chunk of trials may build: the
 # relay's candidate words (F^k x n a block) or a user's candidate codewords
 # (C x n_dl).  Chunks share each call's fixed cost: noisy_uplink_small's
-# 10-trial chunk (20,480 elements) ran 0.49 ms a trial against 0.59 in
-# chunks of 8 and 2.  Large products gain nothing: two GF(4), k=6, n=16
-# relay products (65,536 elements each) ran 1.7 ms a trial against 1.1
-# one at a time (2 vCPU Xeon).
+# 10-trial chunk (20,480 elements) ran 0.71 ms a trial against 0.78 in
+# chunks of 8 and 1.43 in chunks of 2.  Large stacks gain nothing: GF(4),
+# k=6, n=16 relay spans (65,536 elements each) ran 1.58 ms a trial two at a
+# time against 1.30 one at a time (median CPU time, 2 vCPU Xeon, shared host).
 _STACK_BUDGET = 2**15
 
 
@@ -164,7 +164,8 @@ def _stack_codes(codes) -> codec.BlockCode:
     """One trial's code per entry, as a stack of codes."""
     first = codes[0]
     dithers = {t: np.array([c.dithers[t] for c in codes]) for t in first.dithers}
-    return codec.BlockCode(first.k, first.n, np.array([c.generator for c in codes]), dithers)
+    generators, words = (np.array([getattr(c, a) for c in codes]) for a in ("generator", "words"))
+    return codec.BlockCode(first.k, first.n, generators, dithers, words)
 
 
 def _decode_trials(

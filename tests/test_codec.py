@@ -16,8 +16,8 @@ from mwrelay.codec import (
     CapabilityError,
     DownlinkCodebook,
     _all_vectors,
-    _candidate_digits,
     allocate_block_lengths,
+    block_code,
     block_owner,
     build_v,
     candidate_set,
@@ -316,6 +316,34 @@ def test_relay_decode_capability_bound():
     g = np.zeros((21, 30), dtype=np.int64)
     with pytest.raises(CapabilityError):
         relay_decode_sum(np.zeros(30, dtype=np.int64), BlockCode(21, 30, g, {}), np.zeros(30, dtype=np.int64), up)
+
+
+def test_block_code_rank_test_matches_gf_rank(monkeypatch):
+    # block_code redraws a generator exactly when gf.rank finds it deficient;
+    # a third of the draws are forced deficient by a zero, repeated or scaled row.
+    rng = stream(53, "full-rank")
+    drawn = []
+
+    def next_generator(field, k, n, _rng):
+        return drawn.pop(0)
+
+    monkeypatch.setattr(gf, "random_matrix", next_generator)
+    deficient = 0
+    for i in range(1200):
+        field = Field([2, 3, 4, 5, 8, 9][i % 6])
+        k = int(rng.integers(1, 5))
+        n = k + int(rng.integers(0, 3))
+        g = rng.integers(0, field.order, size=(k, n))
+        if k > 1 and i % 3 == 0:
+            a, b = rng.choice(k, size=2, replace=False)
+            g[a] = [0, g[b], field.mul(int(rng.integers(0, field.order)), g[b])][i % 9 // 3]
+        full = np.eye(k, n, dtype=np.int64)
+        drawn[:] = [g, full]
+        code, redraws = block_code(field, k, n, (), None)
+        assert redraws == (gf.rank(field, g) < k), (field, g.tolist())
+        assert np.array_equal(code.generator, g if redraws == 0 else full)
+        deficient += redraws
+    assert 400 <= deficient < 1200
 
 
 def test_allocate_block_lengths():
@@ -658,7 +686,9 @@ def test_codeword_symbol_frequencies_follow_a_nonuniform_input_dist():
 def test_shared_arrays_are_read_only():
     field = Field(3)
     _, _, scheme = compiled(field, lengths_l3())
-    shared = [_all_vectors(3, 2), _candidate_digits(Field(9), 2), scheme.relay, scheme.func]
+    drawn, _ = block_code(Field(9), 2, 4, (1,), stream(8, "span"))
+    by_hand = BlockCode(2, 4, drawn.generator, {})
+    shared = [_all_vectors(3, 2), drawn.words, by_hand.span(Field(9)), scheme.relay, scheme.func]
     for user in scheme.users:
         shared += [user.image, user.keys, user.witnesses, user.r_known]
     for arr in shared:

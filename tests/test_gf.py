@@ -13,6 +13,7 @@ from mwrelay.gf import (
     random_vec,
     rank,
     solve_linear,
+    span,
 )
 from mwrelay.rng import stream
 
@@ -424,3 +425,60 @@ def test_rank_and_solve_match_brute_force():
                 assert sol.x is None
             seen.add(want)
         assert seen == {"inconsistent", "unique", "underdetermined"}
+
+
+def oracle_span(tables, order, g):
+    """u g for every u in F^k, big-endian, in Python ints through the oracle tables."""
+    add, mul = (t.tolist() for t in tables)
+    out = []
+    for u in itertools.product(range(order), repeat=len(g)):
+        w = [0] * len(g[0]) if len(g) else []
+        for c, row in zip(u, g):
+            w = [add[x][mul[c][y]] for x, y in zip(w, row)]
+        out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 8, 9, 25, 27, 251])
+def test_span_matches_a_brute_force_enumeration(order):
+    f = Field(order)
+    tables = oracle_tables(f)
+    rng = stream(43, "span", order)
+    for k in range(5):
+        if order**k > 2**16:
+            break
+        n = 2 if order**k > 1000 else 5
+        g = random_matrix(f, 2 * k, n, rng).reshape(2, k, n)
+        g[1, k // 2 :] = order - 1 - np.arange(n) % 2  # large entries where uint8 sums would wrap
+        words = span(f, g)
+        assert words.shape == (2, order**k, n) and words.dtype == np.uint8
+        for t in range(2):
+            want = oracle_span(tables, order, g[t].tolist()) if k else [[0] * n]
+            assert words[t].tolist() == want
+            assert np.array_equal(span(f, g[t]), words[t])
+    assert span(f, np.zeros((0, 3), dtype=np.int64)).tolist() == [[0, 0, 0]]
+
+
+def test_prime_field_ops_keep_their_values_and_types():
+    # add/sub/neg/mul over GF(p) reduce the elements themselves; the digit and
+    # multiplication-matrix routes they replaced are the reference, for ints,
+    # numpy scalars, int64 arrays and uint8 arrays (widened, so sums cannot wrap).
+    for order in (3, 5, 7, 251):
+        f = Field(order)
+        a, b = stream(47, "prime", order).integers(0, order, size=(2, 200))
+        da, db = f.digits(a), f.digits(b)
+        reference = {
+            "add": f.from_digits((da + db) % f.p),
+            "sub": f.from_digits((da - db) % f.p),
+            "mul": f.from_digits(np.matmul(da[:, None, :], f._reps[b])[:, 0, :] % f.p),
+        }
+        for name, want in reference.items():
+            op = getattr(f, name)
+            got = op(a, b)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+            assert op(a.astype(np.uint8), b.astype(np.uint8)).tolist() == want.tolist()
+            x, y = int(a[0]), int(b[0])
+            for ops in ((x, y), (np.int64(x), np.int64(y))):
+                assert type(op(*ops)) is int and op(*ops) == int(want[0])
+        assert f.neg(b).tolist() == f.from_digits(-db % f.p).tolist()
+        assert type(f.neg(np.int64(3))) is int and f.neg(3) == order - 3

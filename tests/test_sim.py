@@ -372,6 +372,49 @@ def test_batched_engine_matches_the_per_trial_loop(order, num_users, n, n_dl, q,
         assert want[3] > 0  # so do downlink word errors
 
 
+def test_the_block_path_needs_no_product_and_no_rank(monkeypatch):
+    # block_code and relay_decode_sum enumerate spans by field additions:
+    # gf.rank and the BLAS product raise inside them, yet nothing moves.
+    cfg = oracle_cfg(4, 4, 30, 10, 0.2)
+    up = UplinkSpec(Field(4), np.array([0.8, 0.1, 0.05, 0.05]))
+
+    def results():
+        return counts(run_trials(cfg)), counts(sum_decode_trials(up, 6, 16, 6, 7))
+
+    want = results()
+    inside, entered = [], []
+
+    def track(name):
+        original = getattr(codec, name)
+
+        def call(*args, **kwargs):
+            inside.append(name)
+            entered.append(name)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(codec, name, call)
+
+    def forbid(name):
+        original = getattr(gf, name)
+
+        def call(*args, **kwargs):
+            if inside:
+                raise AssertionError(f"gf.{name} called inside codec.{inside[-1]}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gf, name, call)
+
+    for name in ("block_code", "relay_decode_sum"):
+        track(name)
+    for name in ("rank", "mat_mul_digits"):
+        forbid(name)
+    assert results() == want
+    assert set(entered) == {"block_code", "relay_decode_sum"}
+
+
 @pytest.mark.parametrize("chunk, sizes", [(1, [1] * 20), (3, [3] * 6 + [2])])
 def test_chunk_size_does_not_change_the_counts(monkeypatch, chunk, sizes):
     cfg = oracle_cfg(2, 3, 24, 8, 0.2, trials=20)
