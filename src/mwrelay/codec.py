@@ -123,12 +123,18 @@ def make_block_codes(
 
 
 def encode_uplink(u: np.ndarray, code: BlockCode, transmitter: int, field: Field) -> np.ndarray:
-    """Codeword (u G) plus the transmitter's dither; (T, k) messages for a stack of codes."""
+    """Codeword u G plus the transmitter's dither; (T, k) messages for a stack of codes.
+
+    The codeword is row index(u) of the code's span, so encoding needs no product.
+    """
     u = np.asarray(u, dtype=np.int64)
     if u.shape[-1] != code.k:
         raise ValueError(f"message length {u.shape[-1]} != k={code.k}")
-    word = gf.mat_mul(field, u[..., None, :], code.generator)[..., 0, :]
-    return field.add(word, code.dithers[transmitter])
+    words = code.span(field)
+    keys = _word_keys(field, u)
+    # Row keys[t] of code t's span: an index for each leading axis, then the key.
+    word = words[(*np.indices(keys.shape, sparse=True), keys)]
+    return field.add(word.astype(np.int64), code.dithers[transmitter])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -242,7 +248,9 @@ def _word_keys(field: Field, words: np.ndarray) -> np.ndarray:
     """Big-endian integer index of each word on the last axis of ``words``.
 
     Relay words of a compiled scheme always fit: user 1's image covers
-    all F^N words of length N and passed the 2^20 enumeration bound.
+    all F^N words of length N and passed the 2^20 enumeration bound.  So
+    do the messages ``encode_uplink`` keys: their code's span, F^k words,
+    passed the same bound.
     """
     n = words.shape[-1]
     return words @ (field.order ** np.arange(n - 1, -1, -1, dtype=np.int64))

@@ -5,12 +5,13 @@ coefficients of a polynomial over GF(p); multiplication is carried out
 modulo a monic irreducible reduction polynomial of degree m.  A
 :class:`Field` holds the reduction polynomial and, for every element e,
 the m-by-m GF(p) matrix of multiplication by e, through which matrix
-products and (for m > 1) element products go; ``span`` lists a code's
-F^k words by additions alone.  Rank and linear solves eliminate over
-GF(p) on the digit expansion of a matrix, where the statuses and
-solutions are those over GF(p^m).  Every operation takes the field
-explicitly, so element values themselves stay context-free ints (or
-numpy integer arrays).
+products and (for m > 1) element products go.  All arithmetic is exact
+integer arithmetic on digits reduced mod p: ``mat_mul`` is one int64
+product, and ``span`` lists a code's F^k words by additions alone.
+Rank and linear solves eliminate over GF(p) on the digit expansion of a
+matrix, where the statuses and solutions are those over GF(p^m).  Every
+operation takes the field explicitly, so element values themselves stay
+context-free ints (or numpy integer arrays).
 
 Vectors are 1-D numpy arrays, matrices 2-D numpy arrays, both with
 entries in [0, F).
@@ -255,34 +256,21 @@ def mat_mul(field: Field, u: np.ndarray, g: np.ndarray) -> np.ndarray:
 
     ``u`` is a row vector or a (..., B, k) stack of row vectors, ``g`` a
     (k, n) matrix or a (..., k, n) stack of them; leading axes broadcast.
+    One int64 product of the GF(p) digit expansions, reduced mod p (over a
+    prime field, of the elements themselves).  Each dot product is at most
+    k*m*(p-1)^2, so the product is exact while that is below 2^63; past it,
+    ``ValueError``.
     """
     u = np.asarray(u, dtype=np.int64)
     g = np.asarray(g, dtype=np.int64)
     if u.ndim < 1 or g.ndim < 2 or u.shape[-1] != g.shape[-2]:
         raise ValueError(f"dimension mismatch: u has {u.shape}, G has {g.shape}")
-    rows = u[None] if u.ndim == 1 else u
-    out = mat_mul_digits(field, field.digit_rows(rows) if field.m > 1 else rows, g)
-    return out[..., 0, :] if u.ndim == 1 else out
-
-
-def exact_dtype(field: Field, k: int) -> type:
-    """float32 when k*m*(p-1)^2, a bound on each digit dot product over k rows, is below 2^24."""
-    return np.float32 if k * field.m * (field.p - 1) ** 2 < 2**24 else np.float64
-
-
-def mat_mul_digits(field: Field, rows: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(..., B, k*m) digit rows times a (..., k, n) matrix stack, as (..., B, n) elements.
-
-    One BLAS product in ``exact_dtype``, reduced as s - p*floor(s/p).  That is
-    exact: for s = qp + r below 2^24 (2^53 in float64), s/p is at least 1/p below
-    q+1, and half an ulp of q is at most q*2^-24 < 1/p as qp <= s, so floor is q.
-    """
-    dtype = exact_dtype(field, g.shape[-2])
-    e = field.expand_matrix(g) if field.m > 1 else g
-    s = rows.astype(dtype, copy=False) @ e.astype(dtype)
-    s -= field.p * np.floor(s / field.p)
-    out = s.astype(np.int64)
-    return field.rows_from_digits(out) if field.m > 1 else out
+    k = g.shape[-2]
+    if k * field.m * (field.p - 1) ** 2 >= 2**63:
+        raise ValueError(f"a length-{k} product over {field!r} can exceed int64")
+    if field.m == 1:
+        return (u @ g) % field.p
+    return field.rows_from_digits((field.digit_rows(u) @ field.expand_matrix(g)) % field.p)
 
 
 def span(field: Field, g: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from mwrelay.gf import Field
 from mwrelay.rng import stream
 from mwrelay.schedule import SymbolLengths, build_table, message_ids, reindex_users
 from mwrelay.shuffle import decode_matrix, run_shuffle, simplify
+from mwrelay.sim import _stack_codes
 
 
 def lengths_l3() -> SymbolLengths:
@@ -146,6 +147,37 @@ def test_encode_uplink_basics():
     assert np.array_equal(encode_uplink(np.array([1, 0]), code, 1, field), [1, 0])
     with pytest.raises(ValueError):
         encode_uplink(np.array([1, 0, 1]), code, 1, field)
+    # The codeword is read from the span, which stops at the enumeration bound.
+    wide = BlockCode(21, 1, np.zeros((21, 1), dtype=np.int64), {1: np.zeros(1, dtype=np.int64)})
+    with pytest.raises(CapabilityError):
+        encode_uplink(np.zeros(21, dtype=np.int64), wide, 1, field)
+
+
+def ref_encode(field, u, g, dither):
+    """Row loop of element products and sums, plus the dither, as an oracle."""
+    word = []
+    for j in range(g.shape[1]):
+        acc = 0
+        for i in range(g.shape[0]):
+            acc = field.add(acc, field.mul(int(u[i]), int(g[i, j])))
+        word.append(field.add(acc, int(dither[j])))
+    return word
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 8, 9])
+def test_encode_uplink_matches_a_row_loop(order):
+    field = Field(order)
+    rng = stream(8, "enc-oracle", order)
+    for k, n in ((0, 3), (1, 4), (3, 5)):
+        drawn = [block_code(field, k, n, (2, 1), rng)[0] for _ in range(3)]
+        # A hand-built code may be rank deficient and computes its span on first use.
+        codes = drawn + [BlockCode(k, n, gf.random_matrix(field, k, n, rng), drawn[0].dithers)]
+        us = gf.random_matrix(field, len(codes), k, rng)
+        for t in (2, 1):
+            want = [ref_encode(field, u, c.generator, c.dithers[t]) for u, c in zip(us, codes)]
+            for u, c, w in zip(us, codes, want):
+                assert encode_uplink(u, c, t, field).tolist() == w
+            assert encode_uplink(us[:3], _stack_codes(drawn), t, field).tolist() == want[:3]
 
 
 def test_encode_round_trip_with_dither():

@@ -7,7 +7,6 @@ from mwrelay.gf import (
     Field,
     FieldSpecError,
     default_reduction_poly,
-    exact_dtype,
     mat_mul,
     random_matrix,
     random_vec,
@@ -242,7 +241,7 @@ def test_mat_mul_matches_row_loop_for_vectors_and_stacks():
 
 
 def test_mat_mul_float64_path_is_exact():
-    # 300 * 250^2 exceeds 2^24, so the product runs in float64
+    # 300 * 250^2 exceeds 2^24, where float32 sums would round
     f = Field(251)
     rng = stream(31, "matmul-wide")
     g = random_matrix(f, 300, 4, rng)
@@ -253,12 +252,10 @@ def test_mat_mul_float64_path_is_exact():
 
 @pytest.mark.parametrize("k", [268, 269])
 def test_mat_mul_exact_at_the_float32_boundary(k):
-    # 268 * 250^2 = 16,750,000 is the largest dot product float32 runs
-    # (below 2^24); k = 269 is the first length that falls to float64.
-    # Column 0 times row 1 is the all-250 product (k = 268) or, with one
-    # 249 * 249 term, the odd 16,812,001 that float32 cannot hold (k = 269).
+    # Column 0 times row 1 is the all-250 product 268 * 250^2 = 16,750,000,
+    # below 2^24 (k = 268), or, with one 249 * 249 term, the odd 16,812,001,
+    # above 2^24 (k = 269), which a float32 sum would round.
     f = Field(251)
-    assert exact_dtype(f, k) is (np.float32 if k == 268 else np.float64)
     rng = stream(31, "matmul-boundary", k)
     g = random_matrix(f, k, 5, rng)
     g[:, 0] = 250
@@ -271,6 +268,31 @@ def test_mat_mul_exact_at_the_float32_boundary(k):
     assert mat_mul(f, u, g).tolist() == want
     for row, w in zip(u, want):
         assert mat_mul(f, row, g).tolist() == w
+
+
+def test_mat_mul_exact_past_2_to_the_53():
+    # 519 (p-1)^2 + (p-1)(p-2) = 519 + 2 = 521 mod p; its sum, about 9.1e15, lies
+    # above 2^53, where a float64 product rounds it.
+    f = Field(4_194_301)
+    p, k = f.p, 520
+    u = np.full((2, k), p - 1, dtype=np.int64)
+    g = np.full((k, 1), p - 1, dtype=np.int64)
+    g[-1, 0] = p - 2
+    assert mat_mul(f, u, g).tolist() == [[521], [521]]
+    assert mat_mul(f, u[0], g).tolist() == [521]
+
+
+def test_mat_mul_refuses_products_that_can_exceed_int64():
+    # 524,289 (p-1)^2 is the last multiple below 2^63.
+    f = Field(4_194_301)
+    assert 524_289 * (f.p - 1) ** 2 < 2**63 <= 524_290 * (f.p - 1) ** 2
+
+    def zeros(k):
+        return np.zeros(k, dtype=np.int64), np.zeros((k, 1), dtype=np.int64)
+
+    assert mat_mul(f, *zeros(524_289)).tolist() == [0]
+    with pytest.raises(ValueError, match="int64"):
+        mat_mul(f, *zeros(524_300))
 
 
 # -- independent oracle: polynomial arithmetic over GF(p) ------------------------

@@ -373,8 +373,8 @@ def test_batched_engine_matches_the_per_trial_loop(order, num_users, n, n_dl, q,
 
 
 def test_the_block_path_needs_no_product_and_no_rank(monkeypatch):
-    # block_code and relay_decode_sum enumerate spans by field additions:
-    # gf.rank and the BLAS product raise inside them, yet nothing moves.
+    # The block path enumerates each code's span by field additions and reads
+    # codewords from it: gf.rank and gf.mat_mul raise inside it, yet nothing moves.
     cfg = oracle_cfg(4, 4, 30, 10, 0.2)
     up = UplinkSpec(Field(4), np.array([0.8, 0.1, 0.05, 0.05]))
 
@@ -407,12 +407,13 @@ def test_the_block_path_needs_no_product_and_no_rank(monkeypatch):
 
         monkeypatch.setattr(gf, name, call)
 
-    for name in ("block_code", "relay_decode_sum"):
+    tracked = {"block_code", "send_block", "encode_uplink", "relay_decode_sum"}
+    for name in tracked:
         track(name)
-    for name in ("rank", "mat_mul_digits"):
+    for name in ("rank", "mat_mul"):
         forbid(name)
     assert results() == want
-    assert set(entered) == {"block_code", "relay_decode_sum"}
+    assert set(entered) == tracked
 
 
 @pytest.mark.parametrize("chunk, sizes", [(1, [1] * 20), (3, [3] * 6 + [2])])
