@@ -131,14 +131,12 @@ def sample_uplink_noise(up: UplinkSpec, n: int, rng: np.random.Generator) -> np.
     return _draw(up.noise_pmf[None, :], np.zeros(n, dtype=np.int64), rng.random(n))
 
 
-def sample_downlink(down: DownlinkSpec, a: int, x0: np.ndarray, rng) -> np.ndarray:
+def sample_downlink(down: DownlinkSpec, a: int, x0: np.ndarray, u: np.ndarray) -> np.ndarray:
     """User ``a``'s outputs for the relay inputs ``x0`` (any shape).
 
-    ``rng`` is the generator to draw from, or the uniforms in [0, 1),
-    shaped like ``x0``, that were already drawn from one.
+    ``u`` holds the drawn uniforms in [0, 1), shaped like ``x0``.
     """
-    x0 = np.asarray(x0, dtype=np.int64)
-    return _draw(down.channel(a), x0, rng if isinstance(rng, np.ndarray) else rng.random(x0.shape))
+    return _draw(down.channel(a), np.asarray(x0, dtype=np.int64), u)
 
 
 def _draw(w: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:

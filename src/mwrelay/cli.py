@@ -302,7 +302,7 @@ def cmd_simulate(cfg: dict, args) -> int:
         ks = ", ".join(f"{k}:{x}" for k, x in sorted(run.resolved_lengths().k.items()) if x)
         print(f"quantized symbol lengths at {axis}={v}: {ks or 'all zero'}", file=sys.stderr)
     progress = (lambda line: print(line, file=sys.stderr)) if "sweep" in cfg else None
-    rows = sim.sweep(trial_cfg, axis, values, threads=args.threads, progress=progress)
+    rows = sim.sweep(trial_cfg, axis, values, progress=progress)
     header = "axis_value,trials,failures,p_hat,lo95,hi95,redraws,uplink_fail,downlink_fail"
     _emit(header + "\n" + "\n".join(_stats_row(v, st) for v, st in rows) + "\n", args.out)
     return 0
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default stdout)")
         if name == "simulate":
             p.add_argument("--seed", type=_int_at_least(0), default=0, help="master seed")
-            p.add_argument("--threads", type=_int_at_least(1), default=1, help="worker threads")
+            p.add_argument("--threads", type=_int_at_least(1), default=1, help="has no effect")
         if name == "schedule-build":
             p.add_argument("--json-out", default=None, help="table JSON dump path")
         p.set_defaults(fn=fn)

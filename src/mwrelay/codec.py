@@ -27,7 +27,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from . import gf
-from .channel import DownlinkSpec, UplinkSpec, most_likely, sample_uplink_noise, validate_pmf
+from .channel import DownlinkSpec, UplinkSpec, most_likely, validate_pmf
 from .gf import Field
 from .rng import stream  # noqa: F401  (bench/tracing.py wraps codec.stream)
 from .schedule import MessageTable, MsgId, message_ids
@@ -182,24 +182,18 @@ def relay_decode_sum(
     return np.take(_all_vectors(field.order, code.k), most_likely(law, code.span(field), z), axis=0)
 
 
-def _uplink_noise(up: UplinkSpec, n: int, rng) -> np.ndarray:
-    """``rng`` when it holds noise already drawn, else n symbols drawn from it."""
-    return rng if isinstance(rng, np.ndarray) else sample_uplink_noise(up, n, rng)
-
-
 def send_block(
-    code: BlockCode, inputs: dict[int, np.ndarray], up: UplinkSpec, rng
+    code: BlockCode, inputs: dict[int, np.ndarray], up: UplinkSpec, noise: np.ndarray
 ) -> np.ndarray:
     """One block over the noisy uplink: the relay's estimate of the input sum.
 
     ``inputs`` maps each transmitter to its message; each sends its
-    dithered codeword, the channel adds noise, and the relay decodes with
-    the transmitters' dither sum.  ``rng`` is the generator to draw the
-    noise from, or the noise already drawn.  A stack of codes takes (T, k)
-    messages and (T, n) noise.
+    dithered codeword, the channel adds the drawn ``noise``, and the relay
+    decodes with the transmitters' dither sum.  A stack of codes takes
+    (T, k) messages and (T, n) noise.
     """
     field = up.field
-    y0 = _uplink_noise(up, code.n, rng)
+    y0 = noise
     for t, u in inputs.items():
         y0 = field.add(y0, encode_uplink(u, code, t, field))
     return relay_decode_sum(y0, code, reduce(field.add, [code.dithers[t] for t in inputs]), up)
@@ -326,14 +320,13 @@ def uplink_round(
     messages: Messages,
     codes: dict[MsgId, BlockCode],
     up: UplinkSpec,
-    rng,
+    noise: np.ndarray,
 ) -> np.ndarray:
     """The relay's estimate of the concatenated block sums: one ``send_block`` a block.
 
-    ``rng`` is the generator to draw the uplink noise from, or the noise
-    already drawn, (..., n): the blocks' noise concatenated in block order.
+    ``noise`` is the drawn uplink noise, (..., n): the blocks' noise
+    concatenated in block order.
     """
-    noise = _uplink_noise(up, sum(c.n for c in codes.values()), rng)
     v = build_v(scheme, messages)
     out, start = [], 0
     for b, at in scheme.table.block_offsets().items():

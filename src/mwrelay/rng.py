@@ -3,7 +3,7 @@
 Every random draw in this package comes from a named substream derived
 from a master seed plus a path of labels (strings or integers).  Streams
 are independent Philox generators, so results do not depend on the order
-in which streams are consumed or on how work is split across threads.
+in which streams are consumed or on how work is split into batches.
 """
 
 from __future__ import annotations

@@ -13,14 +13,15 @@ depends on a decoded value (a user's outputs are its uniforms pushed
 through the channel row of the input it receives), so every draw can be
 made before any decoding.  The decode phase then runs a chunk of trials
 through the ``codec`` functions at once, with a leading trial axis.
-Results therefore do not depend on thread count, chunk size or
-execution order.
+Results therefore do not depend on chunk size or execution order.
+
+Chunks run one after another on the calling thread: a thread pool over
+them was slower than one thread on every measured workload.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -160,11 +161,12 @@ def _draw_trial(cfg: TrialConfig, scheme: codec.Scheme, t: int) -> _Draws:
     return _Draws(messages, codes, redraws, noise, key, uniforms)
 
 
-def _stack_codes(codes) -> codec.BlockCode:
-    """One trial's code per entry, as a stack of codes."""
+def _stack_codes(codes, field: gf.Field) -> codec.BlockCode:
+    """One trial's code per entry, as a stack of codes with their spans."""
     first = codes[0]
     dithers = {t: np.array([c.dithers[t] for c in codes]) for t in first.dithers}
-    generators, words = (np.array([getattr(c, a) for c in codes]) for a in ("generator", "words"))
+    generators = np.array([c.generator for c in codes])
+    words = np.array([c.span(field) for c in codes])
     return codec.BlockCode(first.k, first.n, generators, dithers, words)
 
 
@@ -173,7 +175,7 @@ def _decode_trials(
 ) -> tuple[int, int, int, int]:
     """Failures, redraws, uplink and downlink events of a chunk of drawn trials."""
     messages = {m: np.array([d.messages[m] for d in draws]) for m in scheme.ids}
-    codes = {b: _stack_codes([d.codes[b] for d in draws]) for b in draws[0].codes}
+    codes = {b: _stack_codes([d.codes[b] for d in draws], cfg.up.field) for b in draws[0].codes}
     noise = np.array([d.noise for d in draws])
     word_hat = codec.uplink_round(scheme, messages, codes, cfg.up, noise)
     uplink = np.any(word_hat != codec.relay_word(scheme, messages), axis=-1)
@@ -196,27 +198,25 @@ def _decode_trials(
     return int(failed.sum()), sum(d.redraws for d in draws), int(uplink.sum()), int(downlink.sum())
 
 
-def _tally(job, trials: int, threads: int, per_trial: int) -> ErrorStats:
+def _tally(job, trials: int, per_trial: int) -> ErrorStats:
     """ErrorStats from ``job(chunk) -> (failures, redraws, uplink, downlink)`` over all trials.
 
     Trials go to ``job`` in contiguous chunks whose stacked arrays, at
-    ``per_trial`` elements a trial, stay within ``_STACK_BUDGET``; the
-    chunks run on up to ``threads`` threads.  Each trial draws from its
-    own stream, so the counts depend on neither chunk size nor thread count.
+    ``per_trial`` elements a trial, stay within ``_STACK_BUDGET``.  Each
+    trial draws from its own stream, so the counts do not depend on the
+    chunk size.
     """
     size = max(1, _STACK_BUDGET // per_trial)
-    chunks = [range(s, min(s + size, trials)) for s in range(0, trials, size)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, chunks))
-    else:
-        results = [job(c) for c in chunks]
+    results = [job(range(s, min(s + size, trials))) for s in range(0, trials, size)]
     failures, redraws, uplink, downlink = (sum(col) for col in zip(*results))
     return ErrorStats.from_counts(failures, trials, redraws, uplink, downlink)
 
 
 def run_trials(cfg: TrialConfig, threads: int = 1) -> ErrorStats:
-    """Estimate the end-to-end block error probability."""
+    """Estimate the end-to-end block error probability.
+
+    ``threads`` has no effect; trials run on the calling thread.
+    """
     order, lengths = reindex_users(cfg.resolved_lengths())
     if cfg.down.num_users != lengths.num_users:
         raise ValueError("downlink and rate tuple disagree on the user count")
@@ -239,7 +239,7 @@ def run_trials(cfg: TrialConfig, threads: int = 1) -> ErrorStats:
     def job(chunk: range) -> tuple[int, int, int, int]:
         return _decode_trials(cfg, down, scheme, [_draw_trial(cfg, scheme, t) for t in chunk])
 
-    return _tally(job, cfg.trials, threads, per_trial)
+    return _tally(job, cfg.trials, per_trial)
 
 
 def at_axis_value(cfg: TrialConfig, axis: str, v) -> TrialConfig:
@@ -255,9 +255,7 @@ def at_axis_value(cfg: TrialConfig, axis: str, v) -> TrialConfig:
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 
-def sweep(
-    cfg: TrialConfig, axis: str, values, threads: int = 1, progress=None
-) -> list[tuple[float, ErrorStats]]:
+def sweep(cfg: TrialConfig, axis: str, values, progress=None) -> list[tuple[float, ErrorStats]]:
     """Run trials across an axis: block length ``n`` or ``rate_scale``.
 
     ``progress``, when given, is called with a text line after each
@@ -268,7 +266,7 @@ def sweep(
         raise ValueError("sweep needs at least one axis value")
     rows = []
     for v in values:
-        stats = run_trials(at_axis_value(cfg, axis, v), threads)
+        stats = run_trials(at_axis_value(cfg, axis, v))
         rows.append((float(v), stats))
         if progress is not None:
             progress(f"{axis}={v}: {stats.failures}/{stats.trials} failures")
@@ -286,7 +284,7 @@ def sum_decode_trials(
     failure (an uplink one) is counted when the relay's ML estimate
     differs from the messages' field sum.  Everything comes from one
     stream per trial, in that order; chunks of trials go through
-    ``codec.send_block`` as stacks.
+    ``codec.send_block`` as stacks.  ``threads`` has no effect.
     """
     field = up.field
     if k > n:
@@ -301,8 +299,8 @@ def sum_decode_trials(
     def job(chunk: range) -> tuple[int, int, int, int]:
         codes, redraws, u1, u2, noise = zip(*[draw(t) for t in chunk])
         u = {1: np.array(u1), 2: np.array(u2)}
-        est = codec.send_block(_stack_codes(codes), u, up, np.array(noise))
+        est = codec.send_block(_stack_codes(codes, field), u, up, np.array(noise))
         failed = int(np.any(est != field.add(u[1], u[2]), axis=-1).sum())
         return failed, sum(redraws), failed, 0
 
-    return _tally(job, trials, threads, field.order**k * n)
+    return _tally(job, trials, field.order**k * n)

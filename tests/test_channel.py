@@ -126,7 +126,7 @@ def test_sampling_deterministic_and_degenerate():
 
     down = identity_downlink(2, 2)
     x0 = stream(1, "x").integers(0, 2, size=50)
-    y = sample_downlink(down, 1, x0, stream(1, "d"))
+    y = sample_downlink(down, 1, x0, stream(1, "d").random(x0.shape))
     assert np.array_equal(y, x0)
 
 
@@ -139,10 +139,11 @@ def test_samplers_are_pinned_on_seeded_streams():
     w = np.array([[0.7, 0.0, 0.3, 0.0], [0.0, 0.5, 0.25, 0.25], [0.1, 0.2, 0.7, 0.0]])
     down = DownlinkSpec(3, (w, np.eye(3, 4)))
     x0 = np.array([0, 1, 2, 2, 1, 0, 0, 1, 2, 1, 0, 2, 1, 1, 0, 2])
-    assert sample_downlink(down, 1, x0, stream(3, "pin-down")).tolist() == [
+    u = stream(3, "pin-down").random(x0.shape)
+    assert sample_downlink(down, 1, x0, u).tolist() == [
         0, 1, 1, 2, 1, 0, 2, 2, 2, 1, 0, 0, 1, 1, 0, 2,
     ]
-    assert sample_downlink(down, 2, x0, stream(3, "pin-down")).tolist() == x0.tolist()
+    assert sample_downlink(down, 2, x0, u).tolist() == x0.tolist()
     assert sample_uplink_noise(up, 0, stream(3, "pin-up")).size == 0
 
 
@@ -156,7 +157,8 @@ def test_draws_stop_at_the_last_positive_symbol():
     up = UplinkSpec(Field(4), np.array([0.5, 0.5 - 1e-13, 0.0, 0.0]))
     assert sample_uplink_noise(up, 3, Top()).tolist() == [1, 1, 1]
     w = np.array([[0.5, 0.5 - 1e-13, 0.0], [1.0 - 1e-13, 0.0, 0.0]])
-    assert sample_downlink(DownlinkSpec(2, (w,)), 1, np.array([0, 1]), Top()).tolist() == [1, 0]
+    x0 = np.array([0, 1])
+    assert sample_downlink(DownlinkSpec(2, (w,)), 1, x0, Top().random(x0.shape)).tolist() == [1, 0]
 
 
 def test_sampling_frequencies_multinomial():

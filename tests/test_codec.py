@@ -173,11 +173,13 @@ def test_encode_uplink_matches_a_row_loop(order):
         # A hand-built code may be rank deficient and computes its span on first use.
         codes = drawn + [BlockCode(k, n, gf.random_matrix(field, k, n, rng), drawn[0].dithers)]
         us = gf.random_matrix(field, len(codes), k, rng)
+        # Stacked before any call computes the hand-built code's span.
+        stacked = _stack_codes(codes, field)
         for t in (2, 1):
             want = [ref_encode(field, u, c.generator, c.dithers[t]) for u, c in zip(us, codes)]
             for u, c, w in zip(us, codes, want):
                 assert encode_uplink(u, c, t, field).tolist() == w
-            assert encode_uplink(us[:3], _stack_codes(drawn), t, field).tolist() == want[:3]
+            assert encode_uplink(us, stacked, t, field).tolist() == want
 
 
 def test_encode_round_trip_with_dither():
@@ -402,7 +404,8 @@ def test_uplink_round_zero_noise_recovers_relay_word():
             continue
         msgs = random_messages(field, lengths, rng)
         codes, _ = make_block_codes(t, 2 * t.total_cols, field, rng)
-        est = uplink_round(scheme, msgs, codes, up, rng)
+        noise = sample_uplink_noise(up, sum(c.n for c in codes.values()), rng)
+        est = uplink_round(scheme, msgs, codes, up, noise)
         assert np.array_equal(est, relay_word(scheme, msgs))
         assert np.array_equal(est, ref_relay_word(field, msgs, t, cols))
 
@@ -414,7 +417,7 @@ def test_uplink_round_l2_single_block():
     t, cols, scheme = compiled(field, lengths)
     msgs = {(1,): np.array([1]), (2,): np.array([1]), (1, 2): np.zeros(0, dtype=np.int64)}
     codes, _ = make_block_codes(t, 2, field, stream(8, "l2"))
-    est = uplink_round(scheme, msgs, codes, up, stream(8, "l2n"))
+    est = uplink_round(scheme, msgs, codes, up, sample_uplink_noise(up, 2, stream(8, "l2n")))
     assert np.array_equal(est, field.add(msgs[(1,)], msgs[(2,)]))
     assert block_owner((2,)) == 2
 
@@ -639,7 +642,8 @@ def test_dither_invariance_of_zero_noise_result():
     outs = []
     for seed in (1, 2, 3):
         codes, _ = make_block_codes(t, 2 * t.total_cols, field, stream(seed, "dith"))
-        outs.append(uplink_round(scheme, msgs, codes, up, stream(seed, "n")))
+        noise = sample_uplink_noise(up, 2 * t.total_cols, stream(seed, "n"))
+        outs.append(uplink_round(scheme, msgs, codes, up, noise))
     assert all(np.array_equal(o, outs[0]) for o in outs)
 
 
@@ -673,7 +677,7 @@ def test_compiled_path_matches_reference_loops_on_bsc_downlinks():
             for a in range(1, num_users + 1):
                 known = {m: v for m, v in msgs.items() if a in m}
                 cand = candidate_set(scheme, a, known)
-                y = sample_downlink(down, a, x0, rng)
+                y = sample_downlink(down, a, x0, rng.random(x0.shape))
                 got = user_decode_word(y, cb, cand, down, a)
                 assert np.array_equal(got, ref_user_decode(y, cb, cand.words, down.channel(a)))
                 rec = recover_messages(scheme, a, got, known)

@@ -1,4 +1,6 @@
 import json
+import threading
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +9,9 @@ import pytest
 
 from mwrelay import cli, codec, gf, sim
 from mwrelay.capacity import RateTuple
-from mwrelay.channel import DownlinkSpec, UplinkSpec, identity_downlink, sample_downlink
+from mwrelay.channel import (
+    DownlinkSpec, UplinkSpec, identity_downlink, sample_downlink, sample_uplink_noise,
+)
 from mwrelay.gf import Field
 from mwrelay.rng import stream
 from mwrelay.schedule import SymbolLengths, build_table, message_ids, reindex_users
@@ -245,7 +249,7 @@ def test_downlink_errors_shrink_with_codeword_length():
             x0 = cb.codeword(truth)
             known = {m: v for m, v in msgs.items() if 2 in m}
             cands = codec.candidate_set(scheme, 2, known)
-            y = sample_downlink(down, 2, x0, stream(12, "dlnoise", n_dl, t))
+            y = sample_downlink(down, 2, x0, stream(12, "dlnoise", n_dl, t).random(x0.shape))
             got = codec.user_decode_word(y, cb, cands, down, 2)
             wrong += not onp.array_equal(got, truth)
         errors[n_dl] = wrong
@@ -307,7 +311,8 @@ def ref_run_trial(cfg: TrialConfig, down, scheme, t: int) -> tuple[bool, int, bo
     rng = stream(cfg.master_seed, "trial", t)
     messages = {m: gf.random_vec(field, lengths.k[m], rng) for m in scheme.ids}
     codes, redraws = codec.make_block_codes(scheme.table, cfg.n, field, rng)
-    word_hat = codec.uplink_round(scheme, messages, codes, cfg.up, rng)
+    noise = sample_uplink_noise(cfg.up, sum(c.n for c in codes.values()), rng)
+    word_hat = codec.uplink_round(scheme, messages, codes, cfg.up, noise)
     key = rng.integers(0, 2**64, dtype=np.uint64)
     codebook = codec.DownlinkCodebook(np.full(down.input_size, 1 / down.input_size), cfg.n_dl, key)
     x0 = codebook.codeword(word_hat)
@@ -315,7 +320,7 @@ def ref_run_trial(cfg: TrialConfig, down, scheme, t: int) -> tuple[bool, int, bo
     for a in range(1, lengths.num_users + 1):
         known = {m: v for m, v in messages.items() if a in m}
         cands = codec.candidate_set(scheme, a, known)
-        y_a = sample_downlink(down, a, x0, rng)
+        y_a = sample_downlink(down, a, x0, rng.random(x0.shape))
         word_a = codec.user_decode_word(y_a, codebook, cands, down, a)
         downlink |= not np.array_equal(word_a, word_hat)
         recovered = codec.recover_messages(scheme, a, word_a, known)
@@ -423,9 +428,9 @@ def test_chunk_size_does_not_change_the_counts(monkeypatch, chunk, sizes):
     seen, chunks = [], []
     tally, decode = sim._tally, sim._decode_trials
 
-    def spy_tally(job, trials, threads, per_trial):
+    def spy_tally(job, trials, per_trial):
         seen.append(per_trial)
-        return tally(job, trials, threads, per_trial)
+        return tally(job, trials, per_trial)
 
     def spy_decode(cfg, down, scheme, draws):
         chunks.append(len(draws))
@@ -440,6 +445,20 @@ def test_chunk_size_does_not_change_the_counts(monkeypatch, chunk, sizes):
         assert counts(run_trials(cfg, threads=threads)) == want
     # 20 trials in chunks of 3 leave an uneven last chunk of 2.
     assert sorted(chunks) == sorted(sizes * 2)
+
+
+def test_no_thread_starts_whatever_thread_count_is_passed(monkeypatch):
+    # Several chunks each: 40 trials in chunks of 16 and 20 in chunks of 5.
+    cfg = replace(bundled("noisy_uplink_small.json", 11), trials=40)
+    up = UplinkSpec(Field(2), np.array([0.9, 0.1]))
+    want = counts(run_trials(cfg)), counts(sum_decode_trials(up, 8, 24, 20, 7))
+
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    got = counts(run_trials(cfg, threads=4)), counts(sum_decode_trials(up, 8, 24, 20, 7, threads=4))
+    assert got == want
 
 
 def test_sum_decode_counts_every_failure_as_an_uplink_event():
