@@ -10,7 +10,8 @@ desk-scale bounds on F^k apply throughout.
 
 The noise-free relay word is a fixed linear map of the message symbols.
 ``compile_scheme`` builds that map once per instance, together with
-each user's enumerated image of the symbols it does not know.
+each user's enumerated image of the symbols it does not know.  Decoders
+keep the index of a ``gf.span`` row, and ``_vectors`` turns it into digits.
 
 Downlink: the relay indexes a counter-based random codebook by the
 concatenated decoded sums and broadcasts the selected word; each user
@@ -22,25 +23,19 @@ it lacks from the decoded word's witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
 from . import gf
 from .channel import DownlinkSpec, UplinkSpec, most_likely, validate_pmf
-from .gf import Field
+from .gf import ENUMERATION_LIMIT, CapabilityError, Field  # noqa: F401  (re-exported)
 from .rng import stream  # noqa: F401  (bench/tracing.py wraps codec.stream)
 from .schedule import MessageTable, MsgId, message_ids
 from .shuffle import ShuffleError, SimplifiedColumn
 
-#: Largest candidate enumeration any exact-ML step will attempt.
-ENUMERATION_LIMIT = 2**20
-
 Messages = dict[MsgId, np.ndarray]
-
-
-class CapabilityError(RuntimeError):
-    """A requested instance exceeds the desk-scale enumeration bounds."""
 
 
 @dataclass
@@ -58,9 +53,8 @@ class BlockCode:
     words: np.ndarray | None = None
 
     def span(self, field: Field) -> np.ndarray:
-        """All F^k codewords, (..., F^k, n) in ``_all_vectors`` order; computed once, read-only."""
+        """All F^k codewords, (..., F^k, n), in ``gf.span`` order; computed once, read-only."""
         if self.words is None:
-            _all_vectors(field.order, self.k)  # raises past the enumeration bound
             self.words = _frozen(gf.span(field, self.generator))
         return self.words
 
@@ -142,23 +136,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=16)
-def _all_vectors(order: int, k: int) -> np.ndarray:
-    """All length-k vectors over [0, order), ascending big-endian, (order^k, k).
+def _vectors(index: np.ndarray, order: int, k: int) -> np.ndarray:
+    """The length-k vectors over [0, order) with big-endian ``index``: (...) -> (..., k).
 
-    The array is cached and shared, so it is read-only.
+    The inverse of ``_word_keys``.
     """
-    if order**k > ENUMERATION_LIMIT:
-        raise CapabilityError(
-            f"enumerating {order}^{k} candidates exceeds the 2^20 desk-scale bound;"
-            f" shrink the message lengths"
-        )
-    count = order**k
-    out = np.zeros((count, k), dtype=np.int64)
-    idx = np.arange(count)
-    for t in range(k):
-        out[:, t] = (idx // order ** (k - 1 - t)) % order
-    return _frozen(out)
+    return np.asarray(index, dtype=np.int64)[..., None] // order ** np.arange(k - 1, -1, -1) % order
 
 
 def relay_decode_sum(
@@ -179,7 +162,7 @@ def relay_decode_sum(
     z = field.sub(y0, np.asarray(dither_sum, dtype=np.int64))
     symbols = np.arange(field.order)
     law = up.noise_pmf[field.sub(symbols, symbols[:, None])]
-    return np.take(_all_vectors(field.order, code.k), most_likely(law, code.span(field), z), axis=0)
+    return _vectors(most_likely(law, code.span(field), z), field.order, code.k)
 
 
 def send_block(
@@ -206,10 +189,11 @@ def send_block(
 class UserMap:
     """User ``a``'s split of the relay map into known and unknown rows.
 
-    ``image`` holds every word the unknown symbols can contribute, sorted
-    by big-endian index (``keys``); ``witnesses[i]`` is the assignment of
-    the unknown symbols, concatenated in ``unknown`` order, that produces
-    ``image[i]``.  The arrays are shared by every trial and read-only.
+    ``image`` is the ``gf.span`` of the unknown symbols' rows (concatenated
+    in ``unknown`` order), so row j is the word of the assignment with
+    big-endian index j.  ``keys`` are its words' indices, ascending;
+    ``witnesses[i]`` is the assignment index j whose word has ``keys[i]``.
+    The arrays are shared by every trial and read-only.
     """
 
     known: tuple[MsgId, ...]
@@ -285,7 +269,6 @@ def compile_scheme(field: Field, table: MessageTable, cols: list[SimplifiedColum
     for a in range(1, table.num_users + 1):
         known = tuple(m for m in ids if a in m)
         unknown = tuple(m for m in ids if a not in m)
-        assignments = _all_vectors(field.order, len(rows(unknown)))
         image = gf.span(field, relay[rows(unknown)])
         keys = _word_keys(field, image)
         order = np.argsort(keys)
@@ -296,7 +279,7 @@ def compile_scheme(field: Field, table: MessageTable, cols: list[SimplifiedColum
             )
         users.append(UserMap(
             known, unknown, _frozen(relay[rows(known)]),
-            _frozen(image[order]), _frozen(keys[order]), _frozen(assignments[order]),
+            _frozen(image), _frozen(keys[order]), _frozen(order),
         ))
     return Scheme(field, table, ids, _frozen(relay), _frozen(func), tuple(users))
 
@@ -446,7 +429,7 @@ def recover_messages(scheme: Scheme, a: int, word: np.ndarray, known: Messages) 
     """All messages user ``a`` must decode, given the relay word.
 
     The word minus the known messages' part is looked up in the user's
-    cached image; its witness holds the unknown messages.
+    cached image keys; its witness indexes the unknown messages.
     """
     user = scheme.users[a - 1]
     word = np.asarray(word, dtype=np.int64)
@@ -455,10 +438,6 @@ def recover_messages(scheme: Scheme, a: int, word: np.ndarray, known: Messages) 
     i = np.minimum(np.searchsorted(user.keys, key), user.keys.size - 1)
     if np.any(user.keys[i] != key):
         raise ValueError(f"user {a}: {word.tolist()} is not a candidate relay word")
-    witnesses = np.take(user.witnesses, i, axis=0)
-    out, at = {}, 0
-    for m in user.unknown:
-        k = scheme.table.lengths.k[m]
-        out[m] = witnesses[..., at : at + k]
-        at += k
-    return out
+    k = [scheme.table.lengths.k[m] for m in user.unknown]
+    digits = _vectors(user.witnesses[i], scheme.field.order, sum(k))
+    return {m: digits[..., end - w : end] for m, w, end in zip(user.unknown, k, accumulate(k))}

@@ -7,7 +7,8 @@ modulo a monic irreducible reduction polynomial of degree m.  A
 the m-by-m GF(p) matrix of multiplication by e, through which matrix
 products and (for m > 1) element products go.  All arithmetic is exact
 integer arithmetic on digits reduced mod p: ``mat_mul`` is one int64
-product, and ``span`` lists a code's F^k words by additions alone.
+product, and ``span``, the one enumerator, lists a code's F^k words by
+additions alone, in big-endian index order, up to ``ENUMERATION_LIMIT``.
 Rank and linear solves eliminate over GF(p) on the digit expansion of a
 matrix, where the statuses and solutions are those over GF(p^m).  Every
 operation takes the field explicitly, so element values themselves stay
@@ -24,8 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
+#: Largest candidate enumeration any exact-ML step will attempt.
+ENUMERATION_LIMIT = 2**20
+
+
 class FieldSpecError(ValueError):
     """Raised for an invalid field specification."""
+
+
+class CapabilityError(RuntimeError):
+    """A requested instance exceeds the desk-scale enumeration bounds."""
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -276,10 +285,17 @@ def mat_mul(field: Field, u: np.ndarray, g: np.ndarray) -> np.ndarray:
 def span(field: Field, g: np.ndarray) -> np.ndarray:
     """All F^k words u g of a (..., k, n) generator stack, u big-endian: (..., F^k, n).
 
+    Row i is u g for the u whose big-endian index is i.  Past
+    ``ENUMERATION_LIMIT`` words it raises ``CapabilityError`` before allocating.
     Doubling from the last row to the first, W <- c g_r + W for every c in F,
     uses field additions alone, in the smallest unsigned dtype holding F - 1.
     """
     *lead, k, n = g.shape
+    if field.order**k > ENUMERATION_LIMIT:
+        raise CapabilityError(
+            f"enumerating {field.order}^{k} candidates exceeds the 2^20 desk-scale bound;"
+            f" shrink the message lengths"
+        )
     dtype = np.min_scalar_type(field.order - 1)
     multiples = field.mul(np.arange(field.order)[:, None, None], g[..., None, :, :]).astype(dtype)
     words = np.zeros((*lead, 1, n), dtype=dtype)

@@ -287,6 +287,9 @@ def sum_decode_trials(
     ``codec.send_block`` as stacks.  ``threads`` has no effect.
     """
     field = up.field
+    for name, value, least in (("n", n, 1), ("k", k, 0), ("trials", trials, 1)):
+        if value < least:
+            raise ValueError(f"{name}={value} must be at least {least}")
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}; no full-rank code exists")
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from mwrelay.codec import (
     BlockCode,
     CapabilityError,
     DownlinkCodebook,
-    _all_vectors,
     allocate_block_lengths,
     block_code,
     block_owner,
@@ -35,6 +35,11 @@ from mwrelay.rng import stream
 from mwrelay.schedule import SymbolLengths, build_table, message_ids, reindex_users
 from mwrelay.shuffle import decode_matrix, run_shuffle, simplify
 from mwrelay.sim import _stack_codes
+
+
+def all_vectors(order, k):
+    """Every length-k vector over [0, order), ascending big-endian, by itertools."""
+    return np.array(list(itertools.product(range(order), repeat=k)), dtype=np.int64)
 
 
 def lengths_l3() -> SymbolLengths:
@@ -526,6 +531,23 @@ def test_candidate_set_capability_bound():
         compile_scheme(field, t, cols)
 
 
+def test_compile_scheme_keeps_no_table_of_enumerated_vectors():
+    # User 1 has 2^20 unknown assignments.  The scheme keeps its image (20 MiB
+    # of uint8), the sorted keys and the 1-D witness indices (8 MiB each); a
+    # table of the assignments themselves would add 160 MiB of int64.
+    _, lengths = reindex_users(SymbolLengths(3, {(2,): 7, (3,): 7, (2, 3): 6}))
+    t, cols = built(lengths)
+    tracemalloc.start()
+    try:
+        scheme = compile_scheme(Field(2), t, cols)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert scheme.users[0].image.shape == (2**20, 20)
+    assert all(user.witnesses.ndim == 1 for user in scheme.users)
+    assert held < 64 * 2**20
+
+
 def test_codebook_lazy_and_deterministic():
     cb1 = DownlinkCodebook(np.array([0.5, 0.5]), 32, 99)
     cb2 = DownlinkCodebook(np.array([0.5, 0.5]), 32, 99)
@@ -692,7 +714,7 @@ def test_compiled_path_matches_reference_loops_on_bsc_downlinks():
 
 def test_codeword_stack_matches_single_rows():
     cb = DownlinkCodebook(np.array([0.25, 0.25, 0.5]), 40, 17)
-    words = _all_vectors(3, 3)
+    words = all_vectors(3, 3)
     rows = cb.codeword(words)
     assert rows.shape == (27, 40)
     for i, w in enumerate(words):
@@ -707,7 +729,7 @@ def test_codeword_stack_matches_single_rows():
 def test_codeword_symbol_frequencies_follow_a_nonuniform_input_dist():
     dist = np.array([0.55, 0.3, 0.0, 0.15])
     cb = DownlinkCodebook(dist, 400, 5)
-    rows = cb.codeword(_all_vectors(2, 8))
+    rows = cb.codeword(all_vectors(2, 8))
     counts = np.bincount(rows.ravel(), minlength=4)
     total = rows.size
     assert counts[2] == 0  # a zero-probability symbol is never drawn
@@ -724,7 +746,7 @@ def test_shared_arrays_are_read_only():
     _, _, scheme = compiled(field, lengths_l3())
     drawn, _ = block_code(Field(9), 2, 4, (1,), stream(8, "span"))
     by_hand = BlockCode(2, 4, drawn.generator, {})
-    shared = [_all_vectors(3, 2), drawn.words, by_hand.span(Field(9)), scheme.relay, scheme.func]
+    shared = [drawn.words, by_hand.span(Field(9)), scheme.relay, scheme.func]
     for user in scheme.users:
         shared += [user.image, user.keys, user.witnesses, user.r_known]
     for arr in shared:

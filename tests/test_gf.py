@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mwrelay import codec, gf
 from mwrelay.gf import (
     Field,
     FieldSpecError,
@@ -479,6 +481,24 @@ def test_span_matches_a_brute_force_enumeration(order):
             assert words[t].tolist() == want
             assert np.array_equal(span(f, g[t]), words[t])
     assert span(f, np.zeros((0, 3), dtype=np.int64)).tolist() == [[0, 0, 0]]
+
+
+def test_span_refuses_past_the_enumeration_bound_before_allocating():
+    # span is the one enumerator, so it owns the bound; codec re-exports the names.
+    assert codec.CapabilityError is gf.CapabilityError
+    assert codec.ENUMERATION_LIMIT == gf.ENUMERATION_LIMIT == 2**20
+    f = Field(2)
+    assert span(f, np.zeros((20, 1), dtype=np.int64)).shape == (2**20, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(gf.CapabilityError, match=r"2\^21 candidates exceeds the 2\^20"):
+            span(f, np.zeros((21, 1), dtype=np.int64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    with pytest.raises(gf.CapabilityError, match=r"4\^11"):
+        span(Field(4), np.zeros((3, 11, 2), dtype=np.int64))
 
 
 def test_prime_field_ops_keep_their_values_and_types():

@@ -161,6 +161,19 @@ def test_sum_decode_zero_noise_never_fails():
     assert st.failures == 0
 
 
+@pytest.mark.parametrize(
+    "k, n, trials, name",
+    [
+        (0, 0, 5, "n=0"), (2, -1, 5, "n=-1"), (-1, 4, 5, "k=-1"),
+        (2, 4, 0, "trials=0"), (2, 4, -3, "trials=-3"),
+    ],
+)
+def test_sum_decode_refuses_bad_arguments_by_name(k, n, trials, name):
+    up = UplinkSpec(Field(2), np.array([0.9, 0.1]))
+    with pytest.raises(ValueError, match=rf"^{name} must be at least"):
+        sum_decode_trials(up, k, n, trials, 1)
+
+
 def test_sum_decode_threads_reproducible():
     field = Field(2)
     up = UplinkSpec(field, np.array([0.89, 0.11]))
