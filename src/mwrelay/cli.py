@@ -11,7 +11,7 @@ Subcommands::
 Each command reads one JSON config (--config).  Probabilities may be
 decimal strings ("0.5") and rates exact rationals ("39/100"); both are
 parsed exactly.  Exit codes: 0 success or affirmative verdict, 1
-negative verdict, 2 bad config, 3 desk-scale capability exceeded.
+negative verdict, 2 bad config or flag, 3 desk-scale capability exceeded.
 """
 
 from __future__ import annotations
@@ -155,12 +155,16 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+def _emit(text: str, path: str | None, flag: str = "--out") -> None:
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        message = f"argument {flag}: cannot write {path}: {exc.strerror}"
+        raise argparse.ArgumentError(None, message) from exc
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -259,8 +263,7 @@ def cmd_schedule_build(cfg: dict, args) -> int:
         )
     _emit("\n".join(lines) + "\n", args.out)
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(table.to_json(), fh, indent=2)
+        _emit(json.dumps(table.to_json(), indent=2), args.json_out, "--json-out")
     return 0 if rep.ok else 1
 
 
@@ -323,6 +326,8 @@ def cmd_region_sweep(cfg: dict, args) -> int:
             raise ConfigError(f"sweep.{axis}: {exc}") from exc
         if keys[-1] not in rates.rates:
             raise ConfigError(f"sweep.{axis}: no message {keys[-1]} among {rates.num_users} users")
+    if keys[0] == keys[1]:
+        raise ConfigError(f"sweep.y: message {keys[1]} is also sweep.x")
     step = _fraction(sw["step"], "sweep.step")
     max_val = _fraction(sw["max"], "sweep.max") if "max" in sw else None
     rows = region_slice(rates, *keys, up, down, step, max_val)
@@ -385,6 +390,9 @@ def main(argv=None) -> int:
     except CapabilityError as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return 3
+    except argparse.ArgumentError as exc:
+        print(f"mwrelay {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, ValueError, KeyError, TypeError) as exc:
         # every value reaching the modules comes from the config file
         print(f"config error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ desk-scale bounds on F^k apply throughout.
 The noise-free relay word is a fixed linear map of the message symbols.
 ``compile_scheme`` builds that map once per instance, together with
 each user's enumerated image of the symbols it does not know.  Decoders
-keep the index of a ``gf.span`` row, and ``_vectors`` turns it into digits.
+keep the index of a ``gf.span`` row, and ``gf.span_vectors`` turns it into digits.
 
 Downlink: the relay indexes a counter-based random codebook by the
 concatenated decoded sums and broadcasts the selected word; each user
@@ -124,24 +124,15 @@ def encode_uplink(u: np.ndarray, code: BlockCode, transmitter: int, field: Field
     u = np.asarray(u, dtype=np.int64)
     if u.shape[-1] != code.k:
         raise ValueError(f"message length {u.shape[-1]} != k={code.k}")
-    words = code.span(field)
-    keys = _word_keys(field, u)
+    keys = gf.span_index(field, u)
     # Row keys[t] of code t's span: an index for each leading axis, then the key.
-    word = words[(*np.indices(keys.shape, sparse=True), keys)]
+    word = code.span(field)[(*np.indices(keys.shape, sparse=True), keys)]
     return field.add(word.astype(np.int64), code.dithers[transmitter])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _vectors(index: np.ndarray, order: int, k: int) -> np.ndarray:
-    """The length-k vectors over [0, order) with big-endian ``index``: (...) -> (..., k).
-
-    The inverse of ``_word_keys``.
-    """
-    return np.asarray(index, dtype=np.int64)[..., None] // order ** np.arange(k - 1, -1, -1) % order
 
 
 def relay_decode_sum(
@@ -162,7 +153,7 @@ def relay_decode_sum(
     z = field.sub(y0, np.asarray(dither_sum, dtype=np.int64))
     symbols = np.arange(field.order)
     law = up.noise_pmf[field.sub(symbols, symbols[:, None])]
-    return _vectors(most_likely(law, code.span(field), z), field.order, code.k)
+    return gf.span_vectors(field, most_likely(law, code.span(field), z), code.k)
 
 
 def send_block(
@@ -222,18 +213,6 @@ class Scheme:
     users: tuple[UserMap, ...]
 
 
-def _word_keys(field: Field, words: np.ndarray) -> np.ndarray:
-    """Big-endian integer index of each word on the last axis of ``words``.
-
-    Relay words of a compiled scheme always fit: user 1's image covers
-    all F^N words of length N and passed the 2^20 enumeration bound.  So
-    do the messages ``encode_uplink`` keys: their code's span, F^k words,
-    passed the same bound.
-    """
-    n = words.shape[-1]
-    return words @ (field.order ** np.arange(n - 1, -1, -1, dtype=np.int64))
-
-
 def _symbols(messages: Messages, ids) -> np.ndarray:
     """Message vectors, or (T, k) stacks of them, concatenated in ``ids`` order."""
     return np.concatenate([np.asarray(messages[m], dtype=np.int64) for m in ids], axis=-1)
@@ -270,7 +249,7 @@ def compile_scheme(field: Field, table: MessageTable, cols: list[SimplifiedColum
         known = tuple(m for m in ids if a in m)
         unknown = tuple(m for m in ids if a not in m)
         image = gf.span(field, relay[rows(unknown)])
-        keys = _word_keys(field, image)
+        keys = gf.span_index(field, image)
         order = np.argsort(keys)
         if np.any(np.diff(keys[order]) == 0):
             raise ShuffleError(
@@ -343,7 +322,7 @@ def candidate_set(scheme: Scheme, a: int, known: Messages) -> CandidateSet:
     """The relay words user ``a`` cannot rule out a priori: u0 plus its image."""
     user = scheme.users[a - 1]
     words = scheme.field.add(user.image, _known_offset(scheme, user, known)[..., None, :])
-    order = np.argsort(_word_keys(scheme.field, words), axis=-1)
+    order = np.argsort(gf.span_index(scheme.field, words), axis=-1)
     return CandidateSet(np.take_along_axis(words, order[..., None], axis=-2))
 
 
@@ -434,10 +413,10 @@ def recover_messages(scheme: Scheme, a: int, word: np.ndarray, known: Messages) 
     user = scheme.users[a - 1]
     word = np.asarray(word, dtype=np.int64)
     rest = scheme.field.sub(word, _known_offset(scheme, user, known))
-    key = _word_keys(scheme.field, rest)
+    key = gf.span_index(scheme.field, rest)
     i = np.minimum(np.searchsorted(user.keys, key), user.keys.size - 1)
     if np.any(user.keys[i] != key):
         raise ValueError(f"user {a}: {word.tolist()} is not a candidate relay word")
     k = [scheme.table.lengths.k[m] for m in user.unknown]
-    digits = _vectors(user.witnesses[i], scheme.field.order, sum(k))
+    digits = gf.span_vectors(scheme.field, user.witnesses[i], sum(k))
     return {m: digits[..., end - w : end] for m, w, end in zip(user.unknown, k, accumulate(k))}

@@ -8,7 +8,8 @@ the m-by-m GF(p) matrix of multiplication by e, through which matrix
 products and (for m > 1) element products go.  All arithmetic is exact
 integer arithmetic on digits reduced mod p: ``mat_mul`` is one int64
 product, and ``span``, the one enumerator, lists a code's F^k words by
-additions alone, in big-endian index order, up to ``ENUMERATION_LIMIT``.
+additions alone, in big-endian index order, up to ``ENUMERATION_LIMIT``;
+``span_index`` and ``span_vectors`` map a vector to that index and back.
 Rank and linear solves eliminate over GF(p) on the digit expansion of a
 matrix, where the statuses and solutions are those over GF(p^m).  Every
 operation takes the field explicitly, so element values themselves stay
@@ -179,9 +180,6 @@ class Field:
         """Digit-wise addition mod p (works on ints and integer arrays)."""
         return a ^ b if self.p == 2 else self._digitwise(np.add, a, b)
 
-    def neg(self, a):
-        return self.sub(0, a)
-
     def sub(self, a, b):
         return a ^ b if self.p == 2 else self._digitwise(np.subtract, a, b)
 
@@ -191,19 +189,6 @@ class Field:
             return self._digitwise(np.multiply, a, b)
         d = np.matmul(self.digits(a)[..., None, :], self._reps[np.asarray(b, dtype=np.int64)])
         return self._element(d[..., 0, :], a, b)
-
-    def inv(self, a):
-        """a^(F-2) by square-and-multiply; raises ZeroDivisionError at 0."""
-        if np.any(np.asarray(a) == 0):
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        out = np.ones(np.shape(a), dtype=np.int64) if isinstance(a, np.ndarray) else 1
-        base, e = a, self.order - 2
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
 
     # -- digit representation ---------------------------------------------------
 
@@ -302,6 +287,22 @@ def span(field: Field, g: np.ndarray) -> np.ndarray:
     for r in range(k - 1, -1, -1):
         words = field.add(multiples[..., r, None, :], words[..., None, :, :]).reshape(*lead, -1, n)
     return words.astype(dtype, copy=False)
+
+
+def span_index(field: Field, words: np.ndarray) -> np.ndarray:
+    """Big-endian index of each vector u on the last axis; row index(u) of a span is u g.
+
+    (..., n) -> (...), exact while F^n fits in int64.  The sum runs in
+    buffered blocks, so narrow words are never copied whole to int64.
+    """
+    powers = field.order ** np.arange(words.shape[-1] - 1, -1, -1, dtype=np.int64)
+    return np.einsum("...n,n->...", words, powers, dtype=np.int64)
+
+
+def span_vectors(field: Field, index: np.ndarray, k: int) -> np.ndarray:
+    """The length-k vectors with big-endian ``index``, (...) -> (..., k); inverts ``span_index``."""
+    index = np.asarray(index, dtype=np.int64)[..., None]
+    return index // field.order ** np.arange(k - 1, -1, -1, dtype=np.int64) % field.order
 
 
 def _eliminate(p: int, m: np.ndarray) -> list[int]:

@@ -115,12 +115,6 @@ class SymbolLengths:
             raise ValueError("need at least two users")
         self.k = per_message(self.num_users, self.k.items(), _symbol_count, "length")
 
-    def k_sum(self, a: int) -> int:
-        """Total symbols user ``a`` must decode."""
-        if not 1 <= a <= self.num_users:
-            raise ValueError(f"no such user {a}")
-        return self.k_sums()[a - 1]
-
     def k_sums(self) -> list[int]:
         return decode_sums(self.num_users, self.k)
 

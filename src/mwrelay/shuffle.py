@@ -151,17 +151,6 @@ def _find_swap(mine: list[SimplifiedColumn], a: int):
     return None
 
 
-def resolved_count(cols: list[SimplifiedColumn]) -> int:
-    """Columns whose two row entries are equal (the swap progress measure)."""
-    n = 0
-    for c in cols:
-        if len(c.rows) == 2:
-            r0, r1 = c.rows
-            if c.cells[r0] is not None and c.cells[r0] == c.cells[r1]:
-                n += 1
-    return n
-
-
 @dataclass
 class DecodeSystem:
     """Linear system recovering user ``a``'s starred messages.

@@ -115,7 +115,7 @@ def test_criterion_3_schedule_shuffle_property_suite():
                 assert rep.unknown_counts[a] == expected, f"instance {i} user {a} count"
             cols, log = run_shuffle(simplify(table))
             if log:
-                assert max(r.cycle for r in log) <= lengths.k_sum(1), f"instance {i} cycles"
+                assert max(r.cycle for r in log) <= lengths.k_sums()[0], f"instance {i} cycles"
             for a in range(2, num_users + 1):
                 system = decode_matrix(cols, a, table)
                 n_unknown = len(system.unknown_order)
@@ -143,7 +143,7 @@ def test_criterion_4_zero_noise_end_to_end():
                 num_users, {m: int(rng.integers(0, 3)) for m in message_ids(num_users)}
             )
             _, lengths = reindex_users(raw)
-            if max(order ** lengths.k_sum(a) for a in range(1, num_users + 1)) > 256:
+            if order ** max(lengths.k_sums()) > 256:
                 continue
             field = Field(order)
             noise = np.zeros(order)
@@ -151,7 +151,7 @@ def test_criterion_4_zero_noise_end_to_end():
             cfg = TrialConfig(
                 UplinkSpec(field, noise),
                 identity_downlink(num_users, 2),
-                n=max(1, 2 * lengths.k_sum(1)),
+                n=max(1, 2 * lengths.k_sums()[0]),
                 n_dl=48,
                 trials=1,
                 master_seed=done,

@@ -343,6 +343,12 @@ FALSY = [[], 0, False, "", None]
             "sweep.y:",
         ),
         (
+            "region-sweep",
+            "region_sweep_f4.json",
+            lambda c: c["sweep"].update(y="1"),
+            "sweep.y: message (1,) is also sweep.x",
+        ),
+        (
             "region-check",
             "f4_pairwise_counterexample.json",
             lambda c: c["rates"].update(private=[True, "39/100", "39/100"]),
@@ -477,7 +483,7 @@ FALSY = [[], 0, False, "", None]
        for v in FALSY]
     + [("simulate", ZERO, lambda c: c.update(sweep={}), "missing keys ['axis', 'values'] in sweep")],
     ids=["repeated-common-pair", "repeated-length-pair", "non-integer-key", "equal-pair-axis",
-         "unknown-axis", "bool-rate", "bool-probability", "common-list", "k-list",
+         "unknown-axis", "same-axis-twice", "bool-rate", "bool-probability", "common-list", "k-list",
          "private-string", "noise-pmf-string", "reduction-poly-string", "reduction-poly-float",
          "matrix-row-strings",
          "users-string", "caps-string", "sweep-values-string",
@@ -525,3 +531,16 @@ def test_seed_and_threads_belong_to_simulate_only(capsys, flag):
               flag, "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, name, flag",
+    [("region-check", F4, "--out"), ("schedule-build", L3, "--json-out")],
+    ids=["out", "json-out"],
+)
+def test_an_unwritable_output_path_exits_2_naming_it(tmp_path, capsys, command, name, flag):
+    path = tmp_path / "no-such-dir" / "out"
+    code, _, err = run([command, "--config", CONFIGS / name, flag, path], capsys)
+    assert code == 2
+    assert err.startswith(f"mwrelay {command}: error: argument {flag}: cannot write {path}: ")
+    assert len(err.splitlines()) == 1

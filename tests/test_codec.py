@@ -246,7 +246,7 @@ def brute_force_sum_decode(field, y0, g, dither_sum, pmf):
     elems = np.arange(field.order)
     add = field.add(elems[:, None], elems[None, :])
     mul = field.mul(elems[:, None], elems[None, :])
-    neg = field.neg(elems)
+    neg = field.sub(0, elems)
     z = [int(add[y, neg[d]]) for y, d in zip(y0, dither_sum)]
     k, n = g.shape
     best, best_score, ties = None, None, 0
@@ -478,7 +478,7 @@ def test_candidate_set_matches_brute_force_and_bound():
                 assert {tuple(w.tolist()) for w in cand.words} == oracle
                 # ascending big-endian order, the ML tie-break order
                 assert [tuple(w) for w in cand.words.tolist()] == sorted(oracle)
-                assert cand.words.shape[0] <= field.order ** lengths.k_sum(a)
+                assert cand.words.shape[0] <= field.order ** lengths.k_sums()[a - 1]
                 # witnesses reproduce their words
                 for i in range(cand.words.shape[0]):
                     witness = {**known, **recover_messages(scheme, a, cand.words[i], known)}
@@ -500,14 +500,14 @@ def test_candidate_set_bound_on_200_random_instances():
             num_users, {m: int(rng.integers(0, 3)) for m in message_ids(num_users)}
         )
         _, lengths = reindex_users(lengths)
-        if max(order ** lengths.k_sum(a) for a in range(1, num_users + 1)) > 512:
+        if order ** max(lengths.k_sums()) > 512:
             continue
         t, cols, scheme = compiled(field, lengths)
         msgs = random_messages(field, lengths, rng)
         a = int(rng.integers(1, num_users + 1))
         known = {m: v for m, v in msgs.items() if a in m}
         cand = candidate_set(scheme, a, known)
-        assert cand.words.shape[0] <= order ** lengths.k_sum(a)
+        assert cand.words.shape[0] <= order ** lengths.k_sums()[a - 1]
         checked += 1
 
 
@@ -519,7 +519,7 @@ def test_candidate_set_user1_injective():
     msgs = random_messages(field, lengths, rng)
     known = {m: v for m, v in msgs.items() if 1 in m}
     cand = candidate_set(scheme, 1, known)
-    assert cand.words.shape[0] == field.order ** lengths.k_sum(1)
+    assert cand.words.shape[0] == field.order ** lengths.k_sums()[0]
 
 
 def test_candidate_set_capability_bound():
@@ -534,18 +534,21 @@ def test_candidate_set_capability_bound():
 def test_compile_scheme_keeps_no_table_of_enumerated_vectors():
     # User 1 has 2^20 unknown assignments.  The scheme keeps its image (20 MiB
     # of uint8), the sorted keys and the 1-D witness indices (8 MiB each); a
-    # table of the assignments themselves would add 160 MiB of int64.
+    # table of the assignments themselves would add 160 MiB of int64.  Keying
+    # the image must not widen it whole to int64 either, which would be
+    # another 160 MiB at the peak.
     _, lengths = reindex_users(SymbolLengths(3, {(2,): 7, (3,): 7, (2, 3): 6}))
     t, cols = built(lengths)
     tracemalloc.start()
     try:
         scheme = compile_scheme(Field(2), t, cols)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert scheme.users[0].image.shape == (2**20, 20)
     assert all(user.witnesses.ndim == 1 for user in scheme.users)
     assert held < 64 * 2**20
+    assert peak <= 2 * held
 
 
 def test_codebook_lazy_and_deterministic():
@@ -687,7 +690,7 @@ def test_compiled_path_matches_reference_loops_on_bsc_downlinks():
                 num_users, {m: int(rng.integers(0, 3)) for m in message_ids(num_users)}
             )
             _, lengths = reindex_users(lengths)
-            if max(order ** lengths.k_sum(a) for a in range(1, num_users + 1)) > 256:
+            if order ** max(lengths.k_sums()) > 256:
                 continue
             t, cols, scheme = compiled(field, lengths)
             msgs = random_messages(field, lengths, rng)

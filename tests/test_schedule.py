@@ -96,8 +96,8 @@ def test_reindex_examples():
     k = SymbolLengths(3, {(1,): 4, (2,): 1, (3,): 2, (1, 2): 1, (1, 3): 1, (2, 3): 2})
     order, re = reindex_users(k)
     assert order == [2, 1, 3]
-    assert re.k_sum(1) == 7
-    assert re.k_sum(1) == max(re.k_sums())
+    assert re.k_sums()[0] == 7
+    assert re.k_sums()[0] == max(re.k_sums())
     # original private rates follow their users
     assert re.k[(1,)] == 1 and re.k[(2,)] == 4 and re.k[(3,)] == 2
 
@@ -142,7 +142,7 @@ def test_table_structure_invariants():
         num_users = int(rng.integers(2, 6))
         k = random_lengths(rng, num_users)
         t = build_table(k)
-        assert t.total_cols == k.k_sum(1)
+        assert t.total_cols == k.k_sums()[0]
         expected_blocks = (num_users - 1) + (num_users - 1) * (num_users - 2) // 2
         assert len(t.blocks) == expected_blocks
         for a in range(2, num_users + 1):

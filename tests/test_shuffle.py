@@ -10,7 +10,6 @@ from mwrelay.shuffle import (
     ShuffleError,
     SimplifiedColumn,
     decode_matrix,
-    resolved_count,
     run_shuffle,
     simplify,
 )
@@ -26,6 +25,17 @@ def random_table(rng, num_users=None, max_k=6):
     k = {m: int(rng.integers(0, max_k + 1)) for m in message_ids(num_users)}
     _, reindexed = reindex_users(SymbolLengths(num_users, k))
     return build_table(reindexed)
+
+
+def resolved_count(cols: list[SimplifiedColumn]) -> int:
+    """Columns whose two row entries are equal (the swap progress measure)."""
+    n = 0
+    for c in cols:
+        if len(c.rows) == 2:
+            r0, r1 = c.rows
+            if c.cells[r0] is not None and c.cells[r0] == c.cells[r1]:
+                n += 1
+    return n
 
 
 def all_refs(cols):

@@ -365,7 +365,7 @@ def oracle_cfg(order, num_users, n, n_dl, q, trials=20, seed=3) -> TrialConfig:
         lengths = SymbolLengths(
             num_users, {m: int(rng.integers(0, 3)) for m in message_ids(num_users)}
         )
-        if max(order ** lengths.k_sum(a) for a in range(1, num_users + 1)) <= 1024:
+        if order ** max(lengths.k_sums()) <= 1024:
             break
     noise = np.array([0.8] + [0.2 / (order - 1)] * (order - 1))
     down = DownlinkSpec(2, tuple(bsc(q + 0.02 * a) for a in range(num_users)))
