@@ -111,19 +111,21 @@ def mutual_info(dist: np.ndarray, w: np.ndarray) -> float:
     return entropy(out / out.sum()) + float(np.sum(dist * neg_entropy(w)))
 
 
-def most_likely(w: np.ndarray, x: np.ndarray, y: np.ndarray) -> int | np.ndarray:
-    """Exact ML: the first row of the input stack ``x`` maximizing sum_t log w[x_t, y_t].
+def most_likely(law: np.ndarray, index: np.ndarray) -> int | np.ndarray:
+    """Exact ML: the first row of ``index`` maximizing sum_t log law[index_t].
 
-    ``x`` is (C, n) against outputs ``y`` (n,), giving an int, or a
-    (..., C, n) stack against (..., n), giving an index per stack.
-    Callers stack candidates in ascending order, so ties go to the smallest.
+    ``law`` is a flat table of probabilities (zeros score -inf) and
+    ``index`` a (C, n) integer array, giving an int, or a (..., C, n)
+    stack, giving an index per stack.  A DMC w scores inputs x against
+    outputs y with law = w.T[y].ravel() and index x_t + |X| t; the
+    relay scores codewords c against z with its F x F law flattened and
+    index c_t F + z_t.  Callers stack candidates in ascending order, so
+    equal float scores go to the smallest.
     """
-    # Row t of the table holds log w[., y_t], so one flat gather scores all rows.
     with np.errstate(divide="ignore"):
-        table = np.log(w.T[y]).ravel()
-    offsets = w.shape[0] * np.arange(y.size).reshape(y.shape)
-    best = np.argmax(table[x + offsets[..., None, :]].sum(axis=-1), axis=-1)
-    return int(best) if y.ndim == 1 else best
+        table = np.log(law)
+    best = np.argmax(table[index].sum(axis=-1), axis=-1)
+    return int(best) if best.ndim == 0 else best
 
 
 def sample_uplink_noise(up: UplinkSpec, n: int, rng: np.random.Generator) -> np.ndarray:

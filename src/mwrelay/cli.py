@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -155,16 +156,30 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
+def _writing(path: str, flag: str, mode: str = "w"):
+    """``path`` opened in ``mode``; an ``OSError`` becomes a flag error naming it."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        message = f"argument {flag}: cannot write {path}: {exc.strerror}"
+        raise argparse.ArgumentError(None, message) from exc
+
+
+def _check_writable(path: str | None, flag: str) -> None:
+    """Refuse an output path before the run; a file the probe creates is removed."""
+    if path:
+        existed = os.path.lexists(path)
+        _writing(path, flag, "a").close()
+        if not existed:
+            os.remove(path)
+
+
 def _emit(text: str, path: str | None, flag: str = "--out") -> None:
     if not path:
         sys.stdout.write(text)
         return
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        message = f"argument {flag}: cannot write {path}: {exc.strerror}"
-        raise argparse.ArgumentError(None, message) from exc
+    with _writing(path, flag) as fh:
+        fh.write(text)
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -385,6 +400,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_writable(args.out, "--out")
+        _check_writable(getattr(args, "json_out", None), "--json-out")
         cfg = _load_config(args.config)
         return args.fn(cfg, args)
     except CapabilityError as exc:

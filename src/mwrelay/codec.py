@@ -93,7 +93,8 @@ def block_code(
     """
     redraws = 0
     code = BlockCode(k, n, gf.random_matrix(field, k, n, rng), {})
-    while np.count_nonzero(~code.span(field).any(axis=-1)) != 1:
+    # Over a transposed copy: numpy reduces a short last axis row by row.
+    while np.count_nonzero(~code.span(field).T.copy().any(axis=0)) != 1:
         redraws += 1
         code = BlockCode(k, n, gf.random_matrix(field, k, n, rng), {})
     code.dithers = {t: gf.random_vec(field, n, rng) for t in transmitters}
@@ -140,10 +141,12 @@ def relay_decode_sum(
 ) -> np.ndarray:
     """Exact ML estimate of the field sum of the two transmitted messages.
 
-    Each candidate codeword is an input of the F x F channel law[x, y] =
-    noise_pmf[y - x], whose output is y0 minus the combined dither; ties
-    go to the smallest candidate in the big-endian integer encoding.  For
-    a stack of codes, ``y0`` and ``dither_sum`` are (T, n) and the
+    The relay sees z = y0 minus the combined dither, so candidate codeword
+    c scores sum_t log law[c_t, z_t] under the F x F channel law[x, y] =
+    noise_pmf[y - x], read from the flat law at c_t F + z_t in the
+    smallest unsigned dtype holding F^2 - 1.  Equal float scores go to
+    the smallest candidate in the big-endian integer encoding.  For a
+    stack of codes, ``y0`` and ``dither_sum`` are (T, n) and the
     estimates (T, k).  The candidates are the code's cached span.
     """
     field = up.field
@@ -153,7 +156,9 @@ def relay_decode_sum(
     z = field.sub(y0, np.asarray(dither_sum, dtype=np.int64))
     symbols = np.arange(field.order)
     law = up.noise_pmf[field.sub(symbols, symbols[:, None])]
-    return gf.span_vectors(field, most_likely(law, code.span(field), z), code.k)
+    index = np.multiply(code.span(field), field.order, dtype=np.min_scalar_type(law.size - 1))
+    index += z[..., None, :].astype(index.dtype)
+    return gf.span_vectors(field, most_likely(law.ravel(), index), code.k)
 
 
 def send_block(
@@ -399,8 +404,11 @@ def user_decode_word(
     """Exact ML over the candidate relay words; ties to the smallest index."""
     if codebook.input_dist.size > down.input_size:
         raise ValueError("codebook alphabet exceeds the downlink input alphabet")
-    x = codebook.codeword(candidates.words)
-    best = most_likely(down.channel(a), x, np.asarray(y_a, dtype=np.int64))
+    w = down.channel(a)
+    y_a = np.asarray(y_a, dtype=np.int64)
+    offsets = w.shape[0] * np.arange(y_a.size).reshape(y_a.shape)
+    x = codebook.codeword(candidates.words) + offsets[..., None, :]
+    best = most_likely(w.T[y_a].ravel(), x)
     return np.take_along_axis(candidates.words, np.asarray(best)[..., None, None], axis=-2)[..., 0, :]
 
 

@@ -292,9 +292,12 @@ def span(field: Field, g: np.ndarray) -> np.ndarray:
 def span_index(field: Field, words: np.ndarray) -> np.ndarray:
     """Big-endian index of each vector u on the last axis; row index(u) of a span is u g.
 
-    (..., n) -> (...), exact while F^n fits in int64.  The sum runs in
-    buffered blocks, so narrow words are never copied whole to int64.
+    (..., n) -> (...).  Indices run to F^n - 1; past 2^63 - 1 they do not
+    fit in int64, so ``ValueError``.  The sum runs in buffered blocks, so
+    narrow words are never copied whole to int64.
     """
+    if field.order ** words.shape[-1] - 1 > 2**63 - 1:
+        raise ValueError(f"length-{words.shape[-1]} vectors over {field!r} overflow an int64 index")
     powers = field.order ** np.arange(words.shape[-1] - 1, -1, -1, dtype=np.int64)
     return np.einsum("...n,n->...", words, powers, dtype=np.int64)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from mwrelay.channel import (
     UplinkSpec,
     entropy,
     identity_downlink,
+    most_likely,
     mutual_info,
     sample_downlink,
     sample_uplink_noise,
@@ -183,3 +185,63 @@ def test_downlink_spec_validation():
     spec = identity_downlink(3, 2)
     with pytest.raises(ValueError):
         spec.channel(4)
+
+
+def ref_most_likely(law, rows):
+    """The first row with the largest score; a strictly better score replaces the best."""
+    best, best_score = 0, None
+    for c, row in enumerate(rows):
+        score = math.fsum(math.log(law[i]) if law[i] > 0 else -math.inf for i in row)
+        if best_score is None or score > best_score:
+            best, best_score = c, score
+    return best
+
+
+def distinct_multisets(rng, size, candidates, n):
+    """Rows over range(size), no two of them permutations of each other.
+
+    Rows with one multiset tie in exact arithmetic, yet numpy may sum them
+    to scores an ulp apart, so only exact copies (added by the caller) tie.
+    """
+    rows, seen = [], set()
+    while len(rows) < candidates:
+        row = rng.integers(0, size, n)
+        if tuple(sorted(row)) not in seen:
+            seen.add(tuple(sorted(row)))
+            rows.append(row)
+    return np.array(rows)
+
+
+def test_most_likely_matches_a_loop_oracle_with_ties_zeros_and_stacks():
+    rng = stream(17, "most-likely")
+    seen_tie = seen_zero = 0
+    for trial in range(60):
+        size, n = int(rng.integers(2, 9)), int(rng.integers(1, 20))
+        law = rng.dirichlet(np.ones(size))
+        law[rng.random(size) < 0.25] = 0.0  # zero-probability symbols score -inf
+        stack = []
+        for _ in range(3):
+            rows = distinct_multisets(rng, size, min(12, math.comb(size + n - 1, n)), n)
+            # Copies of earlier rows tie with them; the first copy must win.
+            copies = rows[rng.integers(0, len(rows), 4)]
+            rows = np.concatenate([rows, copies])[rng.permutation(len(rows) + 4)]
+            stack.append(rows[: min(len(rows), 12)])
+        index = np.array(stack)
+        want = [ref_most_likely(law, rows) for rows in index]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = most_likely(law, index)
+            single = [most_likely(law, rows) for rows in index]
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        assert got.tolist() == single == want, (trial, law.tolist())
+        assert all(type(b) is int for b in single)
+        for rows, b in zip(index, want):
+            seen_tie += any(np.array_equal(rows[b], r) for r in rows[b + 1 :])
+            seen_zero += bool(np.any(law[rows] == 0))
+    assert seen_tie >= 10 and seen_zero >= 30
+    # Every candidate impossible: all score -inf, and the first one wins.
+    law = np.array([0.0, 1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert most_likely(law, np.array([[0, 1], [2, 1], [1, 0]])) == 0
+        assert most_likely(law, np.array([[[1, 0], [1, 1]], [[2, 2], [0, 0]]])).tolist() == [1, 0]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from mwrelay import sim
+from mwrelay import cli, sim
 from mwrelay.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -535,12 +535,36 @@ def test_seed_and_threads_belong_to_simulate_only(capsys, flag):
 
 @pytest.mark.parametrize(
     "command, name, flag",
-    [("region-check", F4, "--out"), ("schedule-build", L3, "--json-out")],
-    ids=["out", "json-out"],
+    [("region-check", F4, "--out"), ("schedule-build", L3, "--json-out"),
+     ("simulate", ZERO, "--out"), ("schedule-build", L3, "--out")],
+    ids=["out", "json-out", "simulate-out", "schedule-build-out"],
 )
-def test_an_unwritable_output_path_exits_2_naming_it(tmp_path, capsys, command, name, flag):
+def test_an_unwritable_output_path_exits_2_naming_it(
+    tmp_path, capsys, monkeypatch, command, name, flag
+):
+    # The path is checked before the command's work, which here fails if reached.
+    def work(cfg, args):
+        raise AssertionError("the command ran before its output path was checked")
+
+    monkeypatch.setitem(cli.COMMANDS, command, work)
     path = tmp_path / "no-such-dir" / "out"
-    code, _, err = run([command, "--config", CONFIGS / name, flag, path], capsys)
-    assert code == 2
+    code, out, err = run([command, "--config", CONFIGS / name, flag, path], capsys)
+    assert (code, out) == (2, "")
     assert err.startswith(f"mwrelay {command}: error: argument {flag}: cannot write {path}: ")
     assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_run_leaves_no_output_file(tmp_path, capsys):
+    # The paths are probed before the run; a probe's file is removed again, and a
+    # file that was already there keeps its contents.
+    kept = tmp_path / "kept.json"
+    kept.write_text("before")
+    bad = _edited_config(tmp_path, L3, lambda c: c["lengths"].update(num_users=0))
+    out = tmp_path / "out.txt"
+    code, _, err = run(
+        ["schedule-build", "--config", bad, "--out", out, "--json-out", kept], capsys
+    )
+    assert code == 2 and err.startswith("config error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "kept.json"]
+    assert kept.read_text() == "before"

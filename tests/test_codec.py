@@ -349,6 +349,71 @@ def test_relay_decode_agrees_with_brute_force_oracle():
     assert tied >= 10
 
 
+def offset_relay_decode(y0, code, dither_sum, up):
+    """The relay's ML estimate by the F x F law[x, y] = noise_pmf[y - x].
+
+    Each position's row log law[., z_t] is laid end to end, and candidate
+    symbol x_t at position t reads entry x_t + F t of the flat table.
+    """
+    field = up.field
+    z = field.sub(np.asarray(y0, dtype=np.int64), np.asarray(dither_sum, dtype=np.int64))
+    symbols = np.arange(field.order)
+    law = up.noise_pmf[field.sub(symbols, symbols[:, None])]
+    with np.errstate(divide="ignore"):
+        table = np.log(law.T[z]).ravel()
+    offsets = field.order * np.arange(z.size).reshape(z.shape)
+    best = np.argmax(table[code.span(field) + offsets[..., None, :]].sum(axis=-1), axis=-1)
+    return gf.span_vectors(field, best, code.k)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 8, 9, 16, 17])
+def test_relay_law_index_scores_equal_the_offset_table(order):
+    # Indexing the flat F x F law by c_t F + z_t (uint8 up to GF(16), uint16
+    # from GF(17)) adds the same float terms in the same order as the F x n
+    # offset table, so every estimate, ties and impossible candidates
+    # included, is the same.
+    field = Field(order)
+    rng = stream(17, "law-index", order)
+    pmfs = [rng.dirichlet(np.ones(order)), np.full(order, 1 / order)]
+    pmfs.append(np.where(np.arange(order) < 2, 0.5, 0.0))  # every feasible candidate ties
+    for pmf in pmfs:
+        up = UplinkSpec(field, pmf)
+        for k, n, trials in ((1, 3, 1), (2, 5, 1), (3, 7, 4), (2, 12, 3)):
+            codes = [BlockCode(k, n, gf.random_matrix(field, k, n, rng), {}) for _ in range(trials)]
+            y0 = rng.integers(0, order, (trials, n))
+            dither = rng.integers(0, order, (trials, n))
+            stacked = _stack_codes(codes, field)
+            want = offset_relay_decode(y0, stacked, dither, up)
+            assert np.array_equal(relay_decode_sum(y0, stacked, dither, up), want)
+            for t, code in enumerate(codes):
+                single = relay_decode_sum(y0[t], code, dither[t], up)
+                assert single.shape == (k,)
+                assert np.array_equal(single, offset_relay_decode(y0[t], code, dither[t], up))
+                assert np.array_equal(single, want[t])
+
+
+@pytest.mark.parametrize("order, k", [(4, 6), (9, 4)])
+def test_relay_decode_builds_no_index_wider_than_the_span(order, k):
+    # 4,096 or 6,561 x 16 candidates.  The index into the flat law stays
+    # uint8 (an eighth of the float64 gather); an int64 index of the
+    # candidates, or int64 digits of them over GF(9), would add at least
+    # the gather's size again.
+    field = Field(order)
+    rng = stream(17, "relay-peak", order)
+    up = UplinkSpec(field, rng.dirichlet(np.ones(order)))
+    code = BlockCode(k, 16, gf.random_matrix(field, k, 16, rng), {})
+    code.span(field)
+    y0, dither = rng.integers(0, order, (2, 16))
+    relay_decode_sum(y0, code, dither, up)
+    tracemalloc.start()
+    try:
+        relay_decode_sum(y0, code, dither, up)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * order**k * 16 * 8  # 768 KiB over GF(4)
+
+
 def test_relay_decode_capability_bound():
     field = Field(2)
     up = UplinkSpec(field, np.array([1.0, 0.0]))

@@ -495,6 +495,18 @@ def test_span_index_and_span_vectors_invert_each_other(order):
         assert gf.span_vectors(f, keys, 6).tolist() == words.tolist()
 
 
+def test_span_index_refuses_vectors_whose_index_overflows_int64():
+    f = Field(2)
+    assert gf.span_index(f, np.ones(63, dtype=np.uint8)) == 2**63 - 1
+    assert gf.span_index(f, np.ones((2, 63), dtype=np.int64)).tolist() == [2**63 - 1] * 2
+    for words in (np.ones(64, dtype=np.uint8), np.zeros((3, 64), dtype=np.int64)):
+        with pytest.raises(ValueError, match="length-64"):
+            gf.span_index(f, words)
+    with pytest.raises(ValueError, match="length-32"):
+        gf.span_index(Field(4), np.zeros(32, dtype=np.uint8))
+    assert gf.span_index(Field(3), np.full(39, 2)) == 3**39 - 1
+
+
 def test_span_refuses_past_the_enumeration_bound_before_allocating():
     # span is the one enumerator, so it owns the bound; codec re-exports the names.
     assert codec.CapabilityError is gf.CapabilityError
