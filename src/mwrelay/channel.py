@@ -11,7 +11,9 @@ All logarithms are base 2; rates and entropies are in bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 import numpy as np
 
@@ -112,19 +114,42 @@ def mutual_info(dist: np.ndarray, w: np.ndarray) -> float:
 
 
 def most_likely(law: np.ndarray, index: np.ndarray) -> int | np.ndarray:
-    """Exact ML: the first row of ``index`` maximizing sum_t log law[index_t].
+    """Exact ML: the first row of ``index`` maximizing prod_t law[index_t].
 
-    ``law`` is a flat table of probabilities (zeros score -inf) and
-    ``index`` a (C, n) integer array, giving an int, or a (..., C, n)
-    stack, giving an index per stack.  A DMC w scores inputs x against
-    outputs y with law = w.T[y].ravel() and index x_t + |X| t; the
-    relay scores codewords c against z with its F x F law flattened and
-    index c_t F + z_t.  Callers stack candidates in ascending order, so
-    equal float scores go to the smallest.
+    ``law`` is a flat table of V probabilities, ``index`` a (C, n) integer
+    array (giving an int) or a (..., C, n) stack (an index per stack).  A row
+    scores s = sum_q N_q log q by its type, the count N_q of each probability
+    q < 1 it holds (q = 0 scores -inf), one compare-and-sum over the positions
+    per value, fastest on the swapaxes view of a positions-major array.
+
+    Tie rule: every term is <= 0, so with u = 2^-53, rounded products and sum
+    of at most V terms and log within 2^8 u, s is within rho |S| <=
+    (V + 258) u |S| of the exact log-likelihood S.  An exact maximum a and the
+    float maximum M = s_b have |S_a| <= |S_b|, so s_a >= M - 2 rho |M| / (1 - rho)
+    >= M (1 + (V + 256) 2^-51).  Rows of one type score alike; where rows of
+    several types reach that bound, the first with the largest prod_q q^N_q,
+    the floats as exact rationals, wins, so impossible rows alone give row 0.
     """
-    with np.errstate(divide="ignore"):
-        table = np.log(law)
-    best = np.argmax(table[index].sum(axis=-1), axis=-1)
+    score, counts, dtype = np.zeros(index.shape[:-1]), {}, np.min_scalar_type(index.shape[-1])
+    for v, p in enumerate(law.tolist()):
+        if p < 1:  # a probability of 1 changes no likelihood; counts[q] holds each row's N_q
+            c = np.add.reduce((index == v).view(np.uint8), -1, dtype)
+            counts[p] = counts[p] + c if p in counts else c
+    for p, c in counts.items():
+        if p > 0:
+            score += c * math.log(p)
+        else:
+            score[c > 0] = -np.inf
+    best = score.argmax(axis=-1)
+    near = score >= score.max(axis=-1, keepdims=True) * (1 + (law.size + 256) * 2.0**-51)
+    if counts and np.count_nonzero(near) > best.size:  # some stack has two rows near its top
+        best, near = np.asarray(best), near.reshape(-1, near.shape[-1])
+        types = np.stack(list(counts.values()), axis=-1).reshape(*near.shape, len(counts))
+        for s in np.flatnonzero(np.add.reduce(near, axis=-1) > 1):
+            rows = np.flatnonzero(near[s])
+            if (t := types[s, rows].tolist()).count(t[0]) < len(t):
+                exact = [math.prod(Fraction(q) ** c for q, c in zip(counts, row)) for row in t]
+                best.flat[s] = rows[exact.index(max(exact))]
     return int(best) if best.ndim == 0 else best
 
 

@@ -53,9 +53,9 @@ class BlockCode:
     words: np.ndarray | None = None
 
     def span(self, field: Field) -> np.ndarray:
-        """All F^k codewords, (..., F^k, n), in ``gf.span`` order; computed once, read-only."""
+        """All F^k codewords, (..., n, F^k): column i is ``gf.span`` row i; made once, read-only."""
         if self.words is None:
-            self.words = _frozen(gf.span(field, self.generator))
+            self.words = _frozen(gf.span(field, self.generator, positions_major=True))
         return self.words
 
 
@@ -87,14 +87,14 @@ def block_code(
 ) -> tuple[BlockCode, int]:
     """A uniform k-by-n generator of rank k and one dither per transmitter.
 
-    Draws from ``rng`` whose span has a zero word besides 0 G (rank below
-    k) are discarded and counted; the dithers are drawn next, in
-    ``transmitters`` order.  Returns the code and the number of redraws.
+    Draws from ``rng`` whose span has a zero column besides 0 G (rank below
+    k), found over the cached positions-major span, are discarded and
+    counted; the dithers are drawn next, in ``transmitters`` order.
+    Returns the code and the number of redraws.
     """
     redraws = 0
     code = BlockCode(k, n, gf.random_matrix(field, k, n, rng), {})
-    # Over a transposed copy: numpy reduces a short last axis row by row.
-    while np.count_nonzero(~code.span(field).T.copy().any(axis=0)) != 1:
+    while np.count_nonzero(~code.span(field).any(axis=-2)) != 1:
         redraws += 1
         code = BlockCode(k, n, gf.random_matrix(field, k, n, rng), {})
     code.dithers = {t: gf.random_vec(field, n, rng) for t in transmitters}
@@ -120,14 +120,14 @@ def make_block_codes(
 def encode_uplink(u: np.ndarray, code: BlockCode, transmitter: int, field: Field) -> np.ndarray:
     """Codeword u G plus the transmitter's dither; (T, k) messages for a stack of codes.
 
-    The codeword is row index(u) of the code's span, so encoding needs no product.
+    The codeword is column index(u) of the code's span, so encoding needs no product.
     """
     u = np.asarray(u, dtype=np.int64)
     if u.shape[-1] != code.k:
         raise ValueError(f"message length {u.shape[-1]} != k={code.k}")
     keys = gf.span_index(field, u)
-    # Row keys[t] of code t's span: an index for each leading axis, then the key.
-    word = code.span(field)[(*np.indices(keys.shape, sparse=True), keys)]
+    # Column keys[t] of code t's span: an index for each leading axis, the positions, the key.
+    word = code.span(field)[(*np.indices(keys.shape, sparse=True), slice(None), keys)]
     return field.add(word.astype(np.int64), code.dithers[transmitter])
 
 
@@ -142,23 +142,26 @@ def relay_decode_sum(
     """Exact ML estimate of the field sum of the two transmitted messages.
 
     The relay sees z = y0 minus the combined dither, so candidate codeword
-    c scores sum_t log law[c_t, z_t] under the F x F channel law[x, y] =
-    noise_pmf[y - x], read from the flat law at c_t F + z_t in the
-    smallest unsigned dtype holding F^2 - 1.  Equal float scores go to
-    the smallest candidate in the big-endian integer encoding.  For a
-    stack of codes, ``y0`` and ``dither_sum`` are (T, n) and the
-    estimates (T, k).  The candidates are the code's cached span.
+    c has likelihood prod_t noise_pmf[e_t] for its noise pattern e = z - c,
+    in the span's dtype and layout: XOR over GF(2^m), else the F x F
+    difference table at z_t F + c_t.  ``most_likely`` scores the type of e
+    and breaks ties exactly, to the smallest candidate in the big-endian
+    integer encoding.  For a stack of codes, ``y0`` and ``dither_sum`` are
+    (T, n) and the estimates (T, k).  The candidates are the code's span.
     """
     field = up.field
     y0 = np.asarray(y0, dtype=np.int64)
     if y0.shape[-1] != code.n:
         raise ValueError(f"received length {y0.shape[-1]} != n={code.n}")
-    z = field.sub(y0, np.asarray(dither_sum, dtype=np.int64))
-    symbols = np.arange(field.order)
-    law = up.noise_pmf[field.sub(symbols, symbols[:, None])]
-    index = np.multiply(code.span(field), field.order, dtype=np.min_scalar_type(law.size - 1))
-    index += z[..., None, :].astype(index.dtype)
-    return gf.span_vectors(field, most_likely(law.ravel(), index), code.k)
+    z = field.sub(y0, np.asarray(dither_sum, dtype=np.int64))[..., None]
+    words = code.span(field)
+    if field.p == 2:
+        e = words ^ z.astype(words.dtype)
+    else:
+        diff = field.sub(*np.ogrid[: field.order, : field.order]).astype(words.dtype)
+        index = (z * field.order).astype(np.min_scalar_type(field.order**2 - 1))
+        e = np.take(diff, np.add(words, index, dtype=index.dtype))
+    return gf.span_vectors(field, most_likely(up.noise_pmf, e.swapaxes(-1, -2)), code.k)
 
 
 def send_block(
@@ -401,14 +404,14 @@ def user_decode_word(
     down: DownlinkSpec,
     a: int,
 ) -> np.ndarray:
-    """Exact ML over the candidate relay words; ties to the smallest index."""
+    """Exact ML over the candidate relay words, by joint type with ``y_a``; ties to the first."""
     if codebook.input_dist.size > down.input_size:
         raise ValueError("codebook alphabet exceeds the downlink input alphabet")
     w = down.channel(a)
-    y_a = np.asarray(y_a, dtype=np.int64)
-    offsets = w.shape[0] * np.arange(y_a.size).reshape(y_a.shape)
-    x = codebook.codeword(candidates.words) + offsets[..., None, :]
-    best = most_likely(w.T[y_a].ravel(), x)
+    x, dtype = codebook.codeword(candidates.words), np.min_scalar_type(w.size - 1)
+    index = np.multiply(x, w.shape[1], dtype=dtype, casting="unsafe")  # x |Y| + y, narrow
+    np.add(index, np.asarray(y_a)[..., None, :], out=index, casting="unsafe")
+    best = most_likely(w.ravel(), index)
     return np.take_along_axis(candidates.words, np.asarray(best)[..., None, None], axis=-2)[..., 0, :]
 
 

@@ -267,13 +267,13 @@ def mat_mul(field: Field, u: np.ndarray, g: np.ndarray) -> np.ndarray:
     return field.rows_from_digits((field.digit_rows(u) @ field.expand_matrix(g)) % field.p)
 
 
-def span(field: Field, g: np.ndarray) -> np.ndarray:
+def span(field: Field, g: np.ndarray, positions_major: bool = False) -> np.ndarray:
     """All F^k words u g of a (..., k, n) generator stack, u big-endian: (..., F^k, n).
 
-    Row i is u g for the u whose big-endian index is i.  Past
-    ``ENUMERATION_LIMIT`` words it raises ``CapabilityError`` before allocating.
-    Doubling from the last row to the first, W <- c g_r + W for every c in F,
-    uses field additions alone, in the smallest unsigned dtype holding F - 1.
+    Row i is u g for the u whose big-endian index is i; ``positions_major``
+    returns the (..., n, F^k) array they are built in.  Past ``ENUMERATION_LIMIT``
+    words it raises ``CapabilityError`` before allocating.  Rows last to first,
+    W <- c g_r + W for each c in F adds in the smallest unsigned dtype holding F - 1.
     """
     *lead, k, n = g.shape
     if field.order**k > ENUMERATION_LIMIT:
@@ -282,11 +282,12 @@ def span(field: Field, g: np.ndarray) -> np.ndarray:
             f" shrink the message lengths"
         )
     dtype = np.min_scalar_type(field.order - 1)
-    multiples = field.mul(np.arange(field.order)[:, None, None], g[..., None, :, :]).astype(dtype)
-    words = np.zeros((*lead, 1, n), dtype=dtype)
-    for r in range(k - 1, -1, -1):
-        words = field.add(multiples[..., r, None, :], words[..., None, :, :]).reshape(*lead, -1, n)
-    return words.astype(dtype, copy=False)
+    multiples = field.mul(np.swapaxes(g, -1, -2)[..., None], np.arange(field.order)).astype(dtype)
+    words = multiples[..., -1, :] if k else np.zeros((*lead, n, 1), dtype=dtype)
+    for r in range(k - 2, -1, -1):
+        words = field.add(multiples[..., r, :, None], words[..., None, :]).reshape(*lead, n, -1)
+    words = words.astype(dtype, copy=False)
+    return words if positions_major else np.ascontiguousarray(words.swapaxes(-1, -2))
 
 
 def span_index(field: Field, words: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,27 +189,21 @@ def test_downlink_spec_validation():
 
 
 def ref_most_likely(law, rows):
-    """The first row with the largest score; a strictly better score replaces the best."""
-    best, best_score = 0, None
-    for c, row in enumerate(rows):
-        score = math.fsum(math.log(law[i]) if law[i] > 0 else -math.inf for i in row)
-        if best_score is None or score > best_score:
-            best, best_score = c, score
-    return best
+    """The first row with the largest exact likelihood, each float of ``law`` a rational."""
+    likelihoods = [math.prod(Fraction(float(law[i])) for i in row) for row in rows]
+    return likelihoods.index(max(likelihoods))
 
 
-def distinct_multisets(rng, size, candidates, n):
-    """Rows over range(size), no two of them permutations of each other.
+def rows_with_permutations(rng, size, candidates, n):
+    """Rows over range(size), half of them permutations of earlier rows.
 
-    Rows with one multiset tie in exact arithmetic, yet numpy may sum them
-    to scores an ulp apart, so only exact copies (added by the caller) tie.
+    A permutation has its row's type, so the two tie in exact arithmetic,
+    though summing their logs position by position may round them apart.
     """
-    rows, seen = [], set()
+    rows = [rng.integers(0, size, n)]
     while len(rows) < candidates:
-        row = rng.integers(0, size, n)
-        if tuple(sorted(row)) not in seen:
-            seen.add(tuple(sorted(row)))
-            rows.append(row)
+        pick = rows[int(rng.integers(0, len(rows)))]
+        rows.append(rng.permutation(pick) if rng.random() < 0.5 else rng.integers(0, size, n))
     return np.array(rows)
 
 
@@ -219,29 +214,74 @@ def test_most_likely_matches_a_loop_oracle_with_ties_zeros_and_stacks():
         size, n = int(rng.integers(2, 9)), int(rng.integers(1, 20))
         law = rng.dirichlet(np.ones(size))
         law[rng.random(size) < 0.25] = 0.0  # zero-probability symbols score -inf
-        stack = []
-        for _ in range(3):
-            rows = distinct_multisets(rng, size, min(12, math.comb(size + n - 1, n)), n)
-            # Copies of earlier rows tie with them; the first copy must win.
-            copies = rows[rng.integers(0, len(rows), 4)]
-            rows = np.concatenate([rows, copies])[rng.permutation(len(rows) + 4)]
-            stack.append(rows[: min(len(rows), 12)])
-        index = np.array(stack)
+        index = np.array([rows_with_permutations(rng, size, 12, n) for _ in range(3)])
+        # The same rows laid out positions-major, as the relay passes them.
+        strided = np.ascontiguousarray(index.swapaxes(-1, -2)).swapaxes(-1, -2)
         want = [ref_most_likely(law, rows) for rows in index]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = most_likely(law, index)
             single = [most_likely(law, rows) for rows in index]
+            assert most_likely(law, strided).tolist() == want
         assert isinstance(got, np.ndarray) and got.shape == (3,)
         assert got.tolist() == single == want, (trial, law.tolist())
         assert all(type(b) is int for b in single)
         for rows, b in zip(index, want):
-            seen_tie += any(np.array_equal(rows[b], r) for r in rows[b + 1 :])
+            # A later row of the winner's type, in another order, ties exactly.
+            seen_tie += any(
+                sorted(rows[b]) == sorted(r) and not np.array_equal(rows[b], r)
+                for r in rows[b + 1 :]
+            )
             seen_zero += bool(np.any(law[rows] == 0))
-    assert seen_tie >= 10 and seen_zero >= 30
+    assert seen_tie >= 50 and seen_zero >= 30
     # Every candidate impossible: all score -inf, and the first one wins.
     law = np.array([0.0, 1.0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert most_likely(law, np.array([[0, 1], [2, 1], [1, 0]])) == 0
         assert most_likely(law, np.array([[[1, 0], [1, 1]], [[2, 2], [0, 0]]])).tolist() == [1, 0]
+
+
+def test_most_likely_decides_types_an_ulp_apart_exactly():
+    # law[0] = law[1], so rows of types (3, 5, 1) and (4, 4, 1) both have
+    # likelihood 0.4^8 0.2, yet summed by value (3L + 5L against 4L + 4L)
+    # or by position, with the 0.2 in another place, they round an ulp
+    # apart.  The first row must win whichever type it has.
+    law = np.array([0.4, 0.4, 0.2])
+    L = math.log(0.4)
+    assert 3 * L + 5 * L > 4 * L + 4 * L
+    a = [2, 0, 0, 0, 1, 1, 1, 1, 1]
+    b = [0, 0, 0, 0, 1, 1, 1, 1, 2]
+    worse = [0, 0, 0, 0, 1, 1, 1, 2, 2]
+    for rows, want in (([b, a], 0), ([a, b], 0), ([worse, b, a], 1), ([worse, a, b], 1)):
+        assert most_likely(law, np.array(rows)) == want == ref_most_likely(law, rows)
+    stack = np.array([[b, a, worse], [worse, a, b], [worse, worse, a]])
+    assert most_likely(law, stack).tolist() == [0, 1, 2]
+
+
+def test_most_likely_ties_commensurate_compositions_exactly():
+    # The relay_gf4 law: 0.8 = 8 x 0.1 = 16 x 0.05 in floats, so rows tie
+    # exactly across probability compositions: 0.1^4 = 0.8 x 0.05^3, though
+    # 4 log 0.1 and log 0.8 + 3 log 0.05 round apart.
+    law = np.array([0.8, 0.1, 0.05, 0.05])
+    assert 4 * math.log(0.1) != math.log(0.8) + 3 * math.log(0.05)
+    rng = stream(17, "commensurate")
+    across = 0
+    for _ in range(40):
+        stack, m = [], int(rng.integers(0, 5))
+        for _ in range(3):
+            # Four rows of one likelihood and eight of their length without a 0.8.
+            base = rng.integers(0, 4, m)
+            blocks = ([1, 1, 1, 1], [0, 2, 3, 2], [0, 3, 3, 3], [2, 0, 2, 2])
+            rows = [rng.permutation(np.concatenate([base, b])) for b in blocks]
+            rows += list(rng.integers(1, 4, (8, m + 4)))
+            stack.append(np.array(rows)[rng.permutation(12)])
+        index = np.array(stack)
+        want = [ref_most_likely(law, rows) for rows in index]
+        assert most_likely(law, index).tolist() == want
+        assert [most_likely(law, rows) for rows in index] == want
+        for rows in index:
+            exact = [math.prod(Fraction(law[i]) for i in row) for row in rows]
+            top = {tuple(sorted(law[row])) for row, p in zip(rows, exact) if p == max(exact)}
+            across += len(top) > 1
+    assert across >= 100

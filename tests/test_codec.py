@@ -1,5 +1,7 @@
 import itertools
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -130,15 +132,17 @@ def ref_recover_messages(field, a, word, known, table, cols):
 
 
 def ref_user_decode(y_a, codebook, words, w):
-    """One codebook row per candidate; a strictly better score replaces the best."""
-    with np.errstate(divide="ignore"):
-        logw = np.log(w)
-    best_score, best = -np.inf, words[0]
-    for word in words:
-        score = float(logw[codebook.codeword(word), y_a].sum())
-        if score > best_score:
-            best_score, best = score, word
-    return best
+    """One codebook row per candidate; the first with the largest exact likelihood wins.
+
+    A likelihood is the product of w[x_t, y_t], each float taken as a rational.
+    """
+    exact = [[Fraction(float(p)) for p in row] for row in w]
+    y_a = np.asarray(y_a).tolist()
+    likelihoods = [
+        math.prod(exact[x][y] for x, y in zip(codebook.codeword(word).tolist(), y_a))
+        for word in words
+    ]
+    return words[likelihoods.index(max(likelihoods))]
 
 
 def random_messages(field, lengths, rng):
@@ -234,40 +238,32 @@ def test_build_v_empty_column_is_zero():
 
 
 def brute_force_sum_decode(field, y0, g, dither_sum, pmf):
-    """Independent ML oracle: plain loops over candidates and positions.
+    """Independent ML oracle: every candidate's exact likelihood.
 
     Codewords are sums of row multiples read from the field's addition
-    and multiplication tables, not from the matrix kernel.  Returns the
-    first candidate in ascending big-endian order with the highest score
-    and the number of candidates that reach that score.  Logs are added
-    in position order, as the decoder's row sums add them for n < 8, so
-    scores compare exactly.
+    and multiplication tables, not from the span kernel.  A candidate's
+    likelihood is the product of its noise probabilities, each float taken
+    as its exact ratio of integers, so ties are exact.  Returns the first candidate in
+    ascending big-endian order with the highest likelihood and the noise
+    patterns of all candidates that reach it.
     """
     elems = np.arange(field.order)
     add = field.add(elems[:, None], elems[None, :])
     mul = field.mul(elems[:, None], elems[None, :])
     neg = field.sub(0, elems)
-    z = [int(add[y, neg[d]]) for y, d in zip(y0, dither_sum)]
-    k, n = g.shape
-    best, best_score, ties = None, None, 0
-    for cand in itertools.product(range(field.order), repeat=k):
-        c = np.zeros(n, dtype=np.int64)
-        for i in range(k):
-            c = add[c, mul[cand[i], g[i]]]
-        score = 0.0
-        ok = True
-        for t, ct in enumerate(neg[c].tolist()):
-            sym = add[z[t], ct]
-            if pmf[sym] == 0:
-                ok = False
-                break
-            score += np.log(pmf[sym])
-        if not ok:
-            continue
-        if best_score is None or score > best_score:
-            best, best_score, ties = np.array(cand), score, 0
-        ties += score == best_score
-    return best, ties
+    ratios = [float(p).as_integer_ratio() for p in pmf]
+    z = add[np.asarray(y0), neg[np.asarray(dither_sum)]]
+    cands = all_vectors(field.order, g.shape[0])
+    c = np.zeros((len(cands), g.shape[1]), dtype=np.int64)
+    for i in range(g.shape[0]):
+        c = add[c, mul[cands[:, i, None], g[i]]]
+    noise = add[z, neg[c]].tolist()
+    likelihoods = [
+        Fraction(math.prod(ratios[s][0] for s in e), math.prod(ratios[s][1] for s in e))
+        for e in noise
+    ]
+    top = max(likelihoods)
+    return cands[likelihoods.index(top)], [e for e, p in zip(noise, likelihoods) if p == top]
 
 
 def test_relay_decode_zero_noise_exact():
@@ -307,14 +303,14 @@ def test_relay_decode_excludes_zero_probability_candidates():
     # the tie breaks to the smaller encoding
     est = relay_decode_sum(np.array([2]), code, zero, up)
     assert est[0] == 2
-    oracle, ties = brute_force_sum_decode(field, np.array([2]), g, zero, up.noise_pmf)
-    assert est[0] == min(2, 3) and oracle[0] == 2 and ties == 2
+    oracle, winners = brute_force_sum_decode(field, np.array([2]), g, zero, up.noise_pmf)
+    assert est[0] == min(2, 3) and oracle[0] == 2 and len(winners) == 2
 
 
 def test_relay_decode_agrees_with_brute_force_oracle():
-    # The decoder returns the oracle's first maximum.  Noise uniform on a
-    # subset of F gives every feasible candidate the same float score, so
-    # the tie-break is checked too; GF(9)'s laws are not symmetric under
+    # The decoder returns the oracle's first exact maximum.  Noise uniform
+    # on a subset of F gives every feasible candidate the same likelihood,
+    # so the tie-break is checked too; GF(9)'s laws are not symmetric under
     # negation, so the sign of the noise is checked as well.
     # Entries are (order, k, draws, pmf); GF(8), GF(25) and GF(27) cover
     # m = 3, p = 5 and p = 3 with m = 3.
@@ -343,35 +339,18 @@ def test_relay_decode_agrees_with_brute_force_oracle():
             noise = sample_uplink_noise(up, n, rng)
             y0 = field.add(field.add(gf.mat_mul(field, u, g), q), noise)
             est = relay_decode_sum(y0, BlockCode(k, n, g, {}), q, up)
-            oracle, ties = brute_force_sum_decode(field, y0, g, q, up.noise_pmf)
+            oracle, winners = brute_force_sum_decode(field, y0, g, q, up.noise_pmf)
             assert np.array_equal(est, oracle), (order, pmf)
-            tied += ties > 1
+            tied += len(winners) > 1
     assert tied >= 10
-
-
-def offset_relay_decode(y0, code, dither_sum, up):
-    """The relay's ML estimate by the F x F law[x, y] = noise_pmf[y - x].
-
-    Each position's row log law[., z_t] is laid end to end, and candidate
-    symbol x_t at position t reads entry x_t + F t of the flat table.
-    """
-    field = up.field
-    z = field.sub(np.asarray(y0, dtype=np.int64), np.asarray(dither_sum, dtype=np.int64))
-    symbols = np.arange(field.order)
-    law = up.noise_pmf[field.sub(symbols, symbols[:, None])]
-    with np.errstate(divide="ignore"):
-        table = np.log(law.T[z]).ravel()
-    offsets = field.order * np.arange(z.size).reshape(z.shape)
-    best = np.argmax(table[code.span(field) + offsets[..., None, :]].sum(axis=-1), axis=-1)
-    return gf.span_vectors(field, best, code.k)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 8, 9, 16, 17])
 def test_relay_law_index_scores_equal_the_offset_table(order):
-    # Indexing the flat F x F law by c_t F + z_t (uint8 up to GF(16), uint16
-    # from GF(17)) adds the same float terms in the same order as the F x n
-    # offset table, so every estimate, ties and impossible candidates
-    # included, is the same.
+    # The noise pattern z - c, by XOR over GF(2^m) and otherwise from the
+    # difference table (through a uint8 index, uint16 from GF(17)), gives
+    # the exact oracle's first maximum, ties and impossible candidates
+    # included, for one code and for a stack of them.
     field = Field(order)
     rng = stream(17, "law-index", order)
     pmfs = [rng.dirichlet(np.ones(order)), np.full(order, 1 / order)]
@@ -382,14 +361,58 @@ def test_relay_law_index_scores_equal_the_offset_table(order):
             codes = [BlockCode(k, n, gf.random_matrix(field, k, n, rng), {}) for _ in range(trials)]
             y0 = rng.integers(0, order, (trials, n))
             dither = rng.integers(0, order, (trials, n))
-            stacked = _stack_codes(codes, field)
-            want = offset_relay_decode(y0, stacked, dither, up)
-            assert np.array_equal(relay_decode_sum(y0, stacked, dither, up), want)
+            stacked = relay_decode_sum(y0, _stack_codes(codes, field), dither, up)
             for t, code in enumerate(codes):
+                want, _ = brute_force_sum_decode(field, y0[t], code.generator, dither[t], pmf)
                 single = relay_decode_sum(y0[t], code, dither[t], up)
                 assert single.shape == (k,)
-                assert np.array_equal(single, offset_relay_decode(y0[t], code, dither[t], up))
-                assert np.array_equal(single, want[t])
+                assert np.array_equal(single, want)
+                assert np.array_equal(stacked[t], want)
+
+
+def test_relay_decode_breaks_ties_between_compositions_exactly():
+    # The relay_gf4 law: 0.8 = 8 x 0.1 = 16 x 0.05 in floats, so a noise
+    # pattern's likelihood is 0.05^n 16^N0 2^N1, and patterns of different
+    # compositions tie whenever 4 N0 + N1 agree.  The decoder must return
+    # the exact oracle's first maximum, stacked and single.
+    field = Field(4)
+    up = UplinkSpec(field, np.array([0.8, 0.1, 0.05, 0.05]))
+    rng = stream(17, "composition-ties")
+    tied = 0
+    for _ in range(40):
+        codes = [BlockCode(4, 9, gf.random_matrix(field, 4, 9, rng), {}) for _ in range(4)]
+        y0 = rng.integers(0, 4, (4, 9))
+        dither = rng.integers(0, 4, (4, 9))
+        stacked = relay_decode_sum(y0, _stack_codes(codes, field), dither, up)
+        for t, code in enumerate(codes):
+            want, winners = brute_force_sum_decode(
+                field, y0[t], code.generator, dither[t], up.noise_pmf
+            )
+            assert np.array_equal(relay_decode_sum(y0[t], code, dither[t], up), want)
+            assert np.array_equal(stacked[t], want)
+            tied += len({tuple(sorted(e)) for e in winners}) > 1  # compositions, not orders
+    assert tied >= 15
+
+
+def test_relay_decode_returns_the_first_minimum_distance_word_on_a_bsc():
+    # Over a BSC with p < 1/2, ML is minimum Hamming distance, so the exact
+    # rule returns the first word at the minimum distance from y0.  k = 8,
+    # n = 24, p = 0.11, 1,000 seeded draws, 100 codes a stack.
+    field = Field(2)
+    up = UplinkSpec(field, np.array([0.89, 0.11]))
+    rng = stream(17, "bsc-first-minimum")
+    messages = all_vectors(2, 8)
+    tied = 0
+    for _ in range(10):
+        g = rng.integers(0, 2, (100, 8, 24))
+        u = rng.integers(0, 2, (100, 8))
+        y0 = (np.einsum("tk,tkn->tn", u, g) + (rng.random((100, 24)) < 0.11)) % 2
+        est = relay_decode_sum(y0, BlockCode(8, 24, g, {}), np.zeros_like(y0), up)
+        distance = ((np.einsum("ck,tkn->tcn", messages, g) % 2) != y0[:, None, :]).sum(axis=-1)
+        assert np.array_equal(est, messages[distance.argmin(axis=-1)])
+        at_minimum = distance == distance.min(axis=-1, keepdims=True)
+        tied += int(np.count_nonzero(at_minimum.sum(axis=-1) > 1))
+    assert tied >= 50
 
 
 @pytest.mark.parametrize("order, k", [(4, 6), (9, 4)])
@@ -665,6 +688,43 @@ def test_user_decode_ties_go_to_the_smallest_candidate():
     assert tied >= 10
 
 
+def test_user_decode_breaks_joint_type_ties_exactly():
+    # w's entries are 0.8 and 0.1, and 0.8 = 8 x 0.1 in floats, so codewords
+    # with as many pairs (x, y) of probability 0.8 tie exactly, whatever
+    # their joint types.  Stacked and single, the decoder returns the exact
+    # oracle's first maximum.
+    field = Field(2)
+    t, cols, scheme = compiled(field, lengths_l3())
+    w = np.array([[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]])
+    down = DownlinkSpec(2, (w,) * 3)
+    rng = stream(8, "joint-type-ties")
+    trials, n_dl, tied = 8, 7, 0
+    for _ in range(5):
+        msgs = [random_messages(field, lengths_l3(), rng) for _ in range(trials)]
+        stacked = {m: np.stack([mm[m] for mm in msgs]) for m in msgs[0]}
+        keys = rng.integers(0, 2**64, size=trials, dtype=np.uint64)
+        cb = DownlinkCodebook(np.array([0.5, 0.5]), n_dl, keys)
+        x0 = cb.codeword(relay_word(scheme, stacked))
+        for a in (1, 2, 3):
+            known = {m: v for m, v in stacked.items() if a in m}
+            cand = candidate_set(scheme, a, known)
+            y = sample_downlink(down, a, x0, rng.random(x0.shape))
+            got = user_decode_word(y, cb, cand, down, a)
+            for i in range(trials):
+                cb_i = DownlinkCodebook(np.array([0.5, 0.5]), n_dl, keys[i])
+                want = ref_user_decode(y[i], cb_i, cand.words[i], w)
+                assert np.array_equal(got[i], want)
+                single = candidate_set(scheme, a, {m: v[i] for m, v in known.items()})
+                assert np.array_equal(user_decode_word(y[i], cb_i, single, down, a), want)
+                # Likelihood 0.1^n_dl 8^N: the rows with the most 0.8 pairs
+                # tie, and count when they have more than one joint type.
+                rows = cb_i.codeword(cand.words[i])
+                strong = np.sum(w[rows, y[i]] == 0.8, axis=-1)
+                best = rows[strong == strong.max()].tolist()
+                tied += len({tuple(sorted(zip(r, y[i].tolist()))) for r in best}) > 1
+    assert tied >= 20
+
+
 def test_user_decode_single_candidate():
     field = Field(2)
     lengths = SymbolLengths(2, {(1,): 1, (2,): 1})
@@ -743,7 +803,7 @@ def bsc_downlink(num_users, q):
 
 
 def test_compiled_path_matches_reference_loops_on_bsc_downlinks():
-    # Same codebook rows, noisy downlinks: the stacked gather-sum decoder and
+    # Same codebook rows, noisy downlinks: the stacked type-count decoder and
     # the witness lookup agree with the per-candidate loop and elimination.
     for order in (2, 3, 4):
         field = Field(order)

@@ -467,11 +467,16 @@ def test_span_matches_a_brute_force_enumeration(order):
         g[1, k // 2 :] = order - 1 - np.arange(n) % 2  # large entries where uint8 sums would wrap
         words = span(f, g)
         assert words.shape == (2, order**k, n) and words.dtype == np.uint8
+        columns = span(f, g, positions_major=True)
+        assert columns.flags.c_contiguous and np.array_equal(columns, words.swapaxes(-1, -2))
         for t in range(2):
             want = oracle_span(tables, order, g[t].tolist()) if k else [[0] * n]
             assert words[t].tolist() == want
             assert np.array_equal(span(f, g[t]), words[t])
+            assert np.array_equal(span(f, g[t], positions_major=True), columns[t])
     assert span(f, np.zeros((0, 3), dtype=np.int64)).tolist() == [[0, 0, 0]]
+    empty = np.zeros((0, 3), dtype=np.int64)
+    assert span(f, empty, positions_major=True).tolist() == [[0], [0], [0]]
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 9])

@@ -187,14 +187,15 @@ def test_sum_decode_threads_reproducible():
 @pytest.mark.parametrize(
     "order, pmf, k, n, failures, redraws",
     [
-        (2, [0.9, 0.1], 6, 7, 19, 25),
+        (2, [0.9, 0.1], 6, 7, 20, 25),
         (3, [0.8, 0.1, 0.1], 4, 5, 26, 3),
         (4, [0.8, 0.1, 0.05, 0.05], 6, 16, 4, 0),
     ],
 )
 def test_sum_decode_realizations_are_pinned(order, pmf, k, n, failures, redraws, threads):
     # Seed 7, 40 trials: the draws of codes, dithers, messages and noise
-    # must not move when the uplink block path is refactored.
+    # must not move when the uplink block path is refactored.  The GF(2)
+    # count is 20 since ties are broken exactly; summed float logs gave 19.
     st = sum_decode_trials(UplinkSpec(Field(order), np.array(pmf)), k, n, 40, 7, threads=threads)
     assert (st.failures, st.redraws) == (failures, redraws)
 
