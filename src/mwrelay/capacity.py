@@ -357,6 +357,8 @@ def region_slice(
         max_value = (ceiling // step) * step
     else:
         max_value = Fraction(max_value)
+    if max_value < 0:
+        raise ValueError(f"grid max {max_value} is below 0, so the grid is empty")
     evaluator = RegionEvaluator(up, down)
     rows = []
     x = Fraction(0)

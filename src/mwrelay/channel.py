@@ -153,26 +153,33 @@ def most_likely(law: np.ndarray, index: np.ndarray) -> int | np.ndarray:
     return int(best) if best.ndim == 0 else best
 
 
-def sample_uplink_noise(up: UplinkSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. noise symbols drawn from the uplink noise law."""
-    return _draw(up.noise_pmf[None, :], np.zeros(n, dtype=np.int64), rng.random(n))
+def sample_uplink_noise(up: UplinkSpec, u: np.ndarray) -> np.ndarray:
+    """The noise symbols the drawn uniforms ``u`` in [0, 1) select, shaped like ``u``."""
+    return inverse_cdf(cdf_steps(up.noise_pmf), u)
 
 
 def sample_downlink(down: DownlinkSpec, a: int, x0: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """User ``a``'s outputs for the relay inputs ``x0`` (any shape).
+    """User ``a``'s outputs for the relay inputs ``x0`` from drawn uniforms ``u`` of its shape."""
+    return inverse_cdf(np.take(cdf_steps(down.channel(a)), x0, axis=1), u)
 
-    ``u`` holds the drawn uniforms in [0, 1), shaped like ``x0``.
+
+def cdf_steps(w: np.ndarray) -> np.ndarray:
+    """The CDF steps a uniform can pass, step axis first: (V,) -> (V - 1,), (X, V) -> (V - 1, X).
+
+    Step j of a row is its running sum through symbol j; steps from its last positive-probability
+    symbol on are +inf, so float roundoff in the sum never carries a draw past that symbol.
     """
-    return _draw(down.channel(a), np.asarray(x0, dtype=np.int64), u)
+    w = w.T
+    steps = np.cumsum(w[:-1], axis=0)
+    steps[np.cumsum(w[:0:-1], axis=0)[::-1] == 0] = np.inf  # no probability after step j
+    return steps
 
 
-def _draw(w: np.ndarray, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One output per input in ``x`` through the rows of ``w``, by inverse CDF of ``u``.
+def inverse_cdf(steps: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The symbol each uniform in ``u`` selects: how many of its ``steps`` lie below it.
 
-    Each draw is capped at its row's last positive-probability symbol,
-    which float roundoff in the cumulative sum could otherwise pass.
+    Steps broadcast against ``u`` from the left, after the step axis; a
+    uniform equal to a step selects that step's symbol.
     """
-    cdf = np.cumsum(w, axis=1)
-    last = (w.shape[1] - 1) - np.argmax(w[:, ::-1] > 0, axis=1)
-    out = np.sum(cdf[x] < u[..., None], axis=-1).astype(np.int64)
-    return np.minimum(out, last[x])
+    steps = steps.reshape(steps.shape + (1,) * (np.ndim(u) + 1 - steps.ndim))
+    return np.add.reduce(steps < u, axis=0, dtype=np.int64)

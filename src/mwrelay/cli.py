@@ -91,26 +91,23 @@ def _probability_list(values, where: str) -> np.ndarray:
     return np.array([float(f / total) for f in fracs], dtype=np.float64)
 
 
-def parse_field(obj: dict) -> Field:
-    _require_keys(obj, {"order", "reduction_poly"}, "field", {"order"})
-    poly = obj.get("reduction_poly")
-    if poly is not None:
-        poly = [_integer(c, "field.reduction_poly") for c in _list(poly, "field.reduction_poly")]
-    try:
-        return Field(_integer(obj["order"], "field.order"), poly)
-    except ValueError as exc:
-        raise ConfigError(f"bad field spec: {exc}") from exc
-
-
 def parse_channel(obj: dict) -> tuple[UplinkSpec, DownlinkSpec]:
     keys = {"field", "noise_pmf", "downlink"}
     _require_keys(obj, keys, "channel", keys)
-    field = parse_field(obj["field"])
+    spec = obj["field"]
+    _require_keys(spec, {"order", "reduction_poly"}, "field", {"order"})
+    order = _integer(spec["order"], "field.order")
     noise = _probability_list(obj["noise_pmf"], "noise_pmf")
-    if noise.size != field.order:
-        raise ConfigError(
-            f"noise_pmf has {noise.size} entries but the field has order {field.order}"
-        )
+    # Before the field is built: its tables take memory in proportion to the order.
+    if noise.size != order:
+        raise ConfigError(f"noise_pmf has {noise.size} entries but the field has order {order}")
+    poly = spec.get("reduction_poly")
+    if poly is not None:
+        poly = [_integer(c, "field.reduction_poly") for c in _list(poly, "field.reduction_poly")]
+    try:
+        field = Field(order, poly)
+    except ValueError as exc:
+        raise ConfigError(f"bad field spec: {exc}") from exc
     dl = obj["downlink"]
     _require_keys(dl, {"input_size", "users"}, "downlink", {"input_size"})
     users = []

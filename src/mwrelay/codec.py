@@ -29,7 +29,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import gf
-from .channel import DownlinkSpec, UplinkSpec, most_likely, validate_pmf
+from .channel import DownlinkSpec, UplinkSpec, cdf_steps, inverse_cdf, most_likely, validate_pmf
 from .gf import ENUMERATION_LIMIT, CapabilityError, Field  # noqa: F401  (re-exported)
 from .rng import stream  # noqa: F401  (bench/tracing.py wraps codec.stream)
 from .schedule import MessageTable, MsgId, message_ids
@@ -238,7 +238,7 @@ def compile_scheme(field: Field, table: MessageTable, cols: list[SimplifiedColum
     """
     lengths = table.lengths
     ids = tuple(message_ids(table.num_users))
-    first = dict(zip(ids, np.cumsum([0] + [lengths.k[m] for m in ids]).tolist()))
+    first = dict(zip(ids, accumulate([lengths.k[m] for m in ids], initial=0)))
 
     def rows(msgs) -> list[int]:
         return [first[m] + i for m in msgs for i in range(lengths.k[m])]
@@ -358,7 +358,9 @@ class DownlinkCodebook:
     al., SC'11).  A word's digits are absorbed as a sum of
     per-position odd multipliers, each a SplitMix64 output of the key and
     the position, and mixed into the word's seed; position t of the
-    codeword is output t + 1 of the SplitMix64 sequence from that seed.
+    codeword is output t + 1 of the SplitMix64 sequence from that seed,
+    whose top 53 bits m give the uniform m 2^-53, exact as a float, that
+    ``channel.inverse_cdf`` maps to a symbol.
     Words that differ in one position never share a seed.  A (T,) array
     of keys holds one codebook per trial.
     """
@@ -370,13 +372,7 @@ class DownlinkCodebook:
         self.n_dl = int(n_dl)
         self.key = np.asarray(key, dtype=np.uint64)
         self._counters = _GAMMA * np.arange(1, self.n_dl + 1, dtype=np.uint64)
-        # A draw m * 2^-53 lies above cdf[x] exactly when m > floor(cdf[x] * 2^53),
-        # as both sides scale by a power of two.  Counting the CDF steps below the
-        # last positive-probability symbol that m passes is channel._draw's
-        # inverse-CDF rule; on a (10 x 32 x 64) binary stack it takes about 15 us
-        # where np.searchsorted on the float draws took 160 us (one Xeon core).
-        last = int(np.nonzero(self.input_dist)[0][-1])
-        self._steps = np.floor(np.cumsum(self.input_dist)[:last] * 2.0**53).astype(np.uint64)
+        self._steps = cdf_steps(self.input_dist)
 
     def codeword(self, u: np.ndarray) -> np.ndarray:
         """The codeword of each word on the last axis of ``u``: (..., len) -> (..., n_dl).
@@ -391,10 +387,7 @@ class DownlinkCodebook:
         multipliers = _splitmix(key + _GAMMA * positions) | np.uint64(1)
         mixed = ((words + np.uint64(1)) * multipliers).sum(axis=-1, keepdims=True, dtype=np.uint64)
         draws = _splitmix(_splitmix(key + mixed) + self._counters) >> np.uint64(11)
-        rows = np.zeros(draws.shape, dtype=np.int64)
-        for step in self._steps:
-            rows += draws > step
-        return rows
+        return inverse_cdf(self._steps, draws * 2.0**-53)
 
 
 def user_decode_word(

@@ -7,11 +7,11 @@ failure when any user decodes any of its required messages wrongly.
 Trials run in two phases.  The draw phase takes everything a trial needs
 from one Philox stream keyed by the master seed and the trial index, in
 a fixed order: messages (in ``message_ids`` order), block codes (in
-block order, redraws included), uplink noise (in block order), the
-codebook key, then the downlink uniforms of users 1..L.  No draw's size
-depends on a decoded value (a user's outputs are its uniforms pushed
-through the channel row of the input it receives), so every draw can be
-made before any decoding.  The decode phase then runs a chunk of trials
+block order, redraws included), uplink noise uniforms (in block order),
+the codebook key, then the downlink uniforms of users 1..L.  No draw's
+size depends on a decoded value (noise and outputs are uniforms mapped
+through the noise law and the channel rows), so every draw can be made
+before any decoding.  The decode phase then runs a chunk of trials
 through the ``codec`` functions at once, with a leading trial axis.
 Results therefore do not depend on chunk size or execution order.
 
@@ -145,7 +145,7 @@ class _Draws:
     messages: codec.Messages
     codes: dict[MsgId, codec.BlockCode]
     redraws: int
-    noise: np.ndarray
+    noise: np.ndarray  # the uplink noise uniforms, in block order
     key: np.uint64
     uniforms: np.ndarray  # (L, n_dl), users 1..L's downlink draws
 
@@ -155,7 +155,7 @@ def _draw_trial(cfg: TrialConfig, scheme: codec.Scheme, t: int) -> _Draws:
     rng = stream(cfg.master_seed, "trial", t)
     messages = {m: gf.random_vec(field, scheme.table.lengths.k[m], rng) for m in scheme.ids}
     codes, redraws = codec.make_block_codes(scheme.table, cfg.n, field, rng)
-    noise = sample_uplink_noise(cfg.up, sum(c.n for c in codes.values()), rng)
+    noise = rng.random(sum(c.n for c in codes.values()))
     key = rng.integers(0, 2**64, dtype=np.uint64)
     uniforms = rng.random((scheme.table.num_users, cfg.n_dl))
     return _Draws(messages, codes, redraws, noise, key, uniforms)
@@ -176,7 +176,7 @@ def _decode_trials(
     """Failures, redraws, uplink and downlink events of a chunk of drawn trials."""
     messages = {m: np.array([d.messages[m] for d in draws]) for m in scheme.ids}
     codes = {b: _stack_codes([d.codes[b] for d in draws], cfg.up.field) for b in draws[0].codes}
-    noise = np.array([d.noise for d in draws])
+    noise = sample_uplink_noise(cfg.up, np.array([d.noise for d in draws]))
     word_hat = codec.uplink_round(scheme, messages, codes, cfg.up, noise)
     uplink = np.any(word_hat != codec.relay_word(scheme, messages), axis=-1)
 
@@ -280,7 +280,7 @@ def sum_decode_trials(
 
     Per trial, ``codec.block_code`` draws a fresh full-rank code with
     dithers for transmitters 1 and 2 (rank-deficient draws are counted),
-    then two uniform messages and the uplink noise are drawn, and a
+    then two uniform messages and the noise uniforms are drawn, and a
     failure (an uplink one) is counted when the relay's ML estimate
     differs from the messages' field sum.  Everything comes from one
     stream per trial, in that order; chunks of trials go through
@@ -297,12 +297,12 @@ def sum_decode_trials(
         rng = stream(master_seed, "sum-decode", t)
         code, redraws = codec.block_code(field, k, n, (1, 2), rng)
         u1, u2 = gf.random_vec(field, k, rng), gf.random_vec(field, k, rng)
-        return code, redraws, u1, u2, sample_uplink_noise(up, n, rng)
+        return code, redraws, u1, u2, rng.random(n)
 
     def job(chunk: range) -> tuple[int, int, int, int]:
         codes, redraws, u1, u2, noise = zip(*[draw(t) for t in chunk])
         u = {1: np.array(u1), 2: np.array(u2)}
-        est = codec.send_block(_stack_codes(codes, field), u, up, np.array(noise))
+        est = codec.send_block(_stack_codes(codes, field), u, up, sample_uplink_noise(up, np.array(noise)))
         failed = int(np.any(est != field.add(u[1], u[2]), axis=-1).sum())
         return failed, sum(redraws), failed, 0
 

@@ -1,6 +1,7 @@
 import math
 import warnings
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -120,11 +121,11 @@ def test_mutual_info_dimension_mismatch():
 def test_sampling_deterministic_and_degenerate():
     f4 = Field(4)
     up = UplinkSpec(f4, np.array([1.0, 0.0, 0.0, 0.0]))
-    assert np.array_equal(sample_uplink_noise(up, 100, stream(1, "n")), np.zeros(100))
+    assert np.array_equal(sample_uplink_noise(up, stream(1, "n").random(100)), np.zeros(100))
 
     up = UplinkSpec(f4, np.array([0.5, 0.5, 0.0, 0.0]))
-    a = sample_uplink_noise(up, 64, stream(1, "n"))
-    b = sample_uplink_noise(up, 64, stream(1, "n"))
+    a = sample_uplink_noise(up, stream(1, "n").random(64))
+    b = sample_uplink_noise(up, stream(1, "n").random(64))
     assert np.array_equal(a, b)
 
     down = identity_downlink(2, 2)
@@ -136,7 +137,7 @@ def test_sampling_deterministic_and_degenerate():
 def test_samplers_are_pinned_on_seeded_streams():
     # Zero-probability symbols in the middle and at the end of a row.
     up = UplinkSpec(Field(5), np.array([0.4, 0.0, 0.3, 0.3, 0.0]))
-    assert sample_uplink_noise(up, 16, stream(3, "pin-up")).tolist() == [
+    assert sample_uplink_noise(up, stream(3, "pin-up").random(16)).tolist() == [
         2, 0, 0, 3, 2, 2, 3, 0, 0, 3, 3, 0, 3, 2, 3, 2,
     ]
     w = np.array([[0.7, 0.0, 0.3, 0.0], [0.0, 0.5, 0.25, 0.25], [0.1, 0.2, 0.7, 0.0]])
@@ -147,7 +148,7 @@ def test_samplers_are_pinned_on_seeded_streams():
         0, 1, 1, 2, 1, 0, 2, 2, 2, 1, 0, 0, 1, 1, 0, 2,
     ]
     assert sample_downlink(down, 2, x0, u).tolist() == x0.tolist()
-    assert sample_uplink_noise(up, 0, stream(3, "pin-up")).size == 0
+    assert sample_uplink_noise(up, stream(3, "pin-up").random(0)).size == 0
 
 
 def test_draws_stop_at_the_last_positive_symbol():
@@ -158,17 +159,64 @@ def test_draws_stop_at_the_last_positive_symbol():
             return np.full(n, np.nextafter(1.0, 0.0))
 
     up = UplinkSpec(Field(4), np.array([0.5, 0.5 - 1e-13, 0.0, 0.0]))
-    assert sample_uplink_noise(up, 3, Top()).tolist() == [1, 1, 1]
+    assert sample_uplink_noise(up, Top().random(3)).tolist() == [1, 1, 1]
     w = np.array([[0.5, 0.5 - 1e-13, 0.0], [1.0 - 1e-13, 0.0, 0.0]])
     x0 = np.array([0, 1])
     assert sample_downlink(DownlinkSpec(2, (w,)), 1, x0, Top().random(x0.shape)).tolist() == [1, 0]
+
+
+def ref_inverse_cdf(row, u):
+    """Inverse CDF in Python floats: the first j whose running sum reaches u,
+    capped at the last positive-probability symbol of ``row``."""
+    last = max(j for j, p in enumerate(row) if p > 0)
+    return min(next((j for j, c in enumerate(accumulate(row)) if u <= c), last), last)
+
+
+def oracle_laws(seed):
+    """Seeded 5-symbol rows: zeros in the middle and at the end, then the same
+    rows scaled to sum to 1 - 1e-13, which validation accepts."""
+    rng = stream(seed, "oracle-laws")
+    rows = []
+    for zeros in ([], [2], [4], [3, 4], [1, 3, 4]):
+        row = rng.random(5) + 0.05
+        row[zeros] = 0.0
+        rows.append(row / row.sum())
+    return np.array(rows + [row * (1 - 1e-13) for row in rows])
+
+
+def oracle_uniforms(row, seed):
+    """Every step of ``row``, one ulp either side of each, 0, nextafter(1, 0) and seeded uniforms."""
+    steps = list(accumulate(row.tolist()))
+    return np.array(
+        steps + np.nextafter(steps, 0).tolist() + np.nextafter(steps, 1).tolist()
+        + [0.0, np.nextafter(1.0, 0.0)] + stream(seed, "oracle-u").random(40).tolist()
+    ).clip(0.0, np.nextafter(1.0, 0.0))
+
+
+def test_samplers_match_the_inverse_cdf_oracle():
+    laws = oracle_laws(5)
+    assert (abs(laws.sum(axis=1)[5:] - (1 - 1e-13)) < 1e-15).all()
+    down = DownlinkSpec(len(laws), (laws,))
+    on_step = 0
+    for x, row in enumerate(laws):
+        u = oracle_uniforms(row, x)
+        want = [ref_inverse_cdf(row.tolist(), v) for v in u.tolist()]
+        assert sample_uplink_noise(UplinkSpec(Field(5), row), u).tolist() == want
+        assert sample_downlink(down, 1, np.full(u.shape, x), u).tolist() == want
+        # Stacked rows, as the Monte Carlo harness passes them.
+        stacked = sample_downlink(down, 1, np.full((2, u.size), x), np.stack([u, u]))
+        assert stacked.tolist() == [want, want]
+        on_step += sum(want[j] == j for j in range(5) if row[j] > 0)
+    assert on_step >= 20  # a uniform on a step selects that step's symbol
+    y = sample_downlink(down, 1, np.arange(len(laws)), np.full(len(laws), np.nextafter(1.0, 0.0)))
+    assert y.tolist() == [max(np.flatnonzero(row)) for row in laws]
 
 
 def test_sampling_frequencies_multinomial():
     f4 = Field(4)
     pmf = np.array([0.5, 0.3, 0.2, 0.0])
     up = UplinkSpec(f4, pmf)
-    draws = sample_uplink_noise(up, 100_000, stream(2, "freq"))
+    draws = sample_uplink_noise(up, stream(2, "freq").random(100_000))
     counts = np.bincount(draws, minlength=4)
     for s in range(4):
         expect = draws.size * pmf[s]

@@ -474,6 +474,12 @@ FALSY = [[], 0, False, "", None]
             lambda c: c["rates"].pop("private"),
             "missing keys ['private'] in rates",
         ),
+        (
+            "region-sweep",
+            "region_sweep_f4.json",
+            lambda c: c["sweep"].update(max="-1"),
+            "grid max -1 is below 0, so the grid is empty",
+        ),
     ]
     + [(cmd, name, lambda c, k=key: c.pop(k), f"missing keys ['{key}'] in config")
        for cmd, name, key in REQUIRED]
@@ -488,7 +494,8 @@ FALSY = [[], 0, False, "", None]
          "matrix-row-strings",
          "users-string", "caps-string", "sweep-values-string",
          "no-input-size", "no-matrix", "no-field-order", "no-sweep-axis", "no-sweep-values",
-         "no-noise-pmf", "no-lengths-k", "no-region-sweep-step", "no-private"]
+         "no-noise-pmf", "no-lengths-k", "no-region-sweep-step", "no-private",
+         "negative-sweep-max"]
     + [f"no-{key}-{cmd}" for cmd, _, key in REQUIRED]
     + [f"common-{v!r}" for v in FALSY] + [f"sweep-{v!r}" for v in FALSY] + ["sweep-{}"],
 )
@@ -498,6 +505,21 @@ def test_bad_message_ids_are_config_errors_naming_the_section(
     code, out, err = run([command, "--config", _edited_config(tmp_path, name, edit)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("config error: ") and section in err
+
+
+def test_noise_pmf_length_is_checked_before_the_field_is_built(tmp_path, capsys, monkeypatch):
+    # The field's tables grow with its order, so a huge order must fail on the
+    # noise_pmf length before any Field is made.
+    built = []
+    monkeypatch.setattr(cli, "Field", lambda *a: built.append(a))
+
+    def edit(c):
+        c["channel"]["field"]["order"] = 2**31 - 1
+        c["channel"]["noise_pmf"] = ["0.5", "0.5"]
+
+    code, out, err = run(["region-check", "--config", _edited_config(tmp_path, F4, edit)], capsys)
+    assert code == 2 and out == "" and built == []
+    assert err.startswith("config error: noise_pmf has 2 entries") and str(2**31 - 1) in err
 
 
 def test_a_top_level_list_config_is_a_config_error(tmp_path, capsys):

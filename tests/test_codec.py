@@ -37,6 +37,7 @@ from mwrelay.rng import stream
 from mwrelay.schedule import SymbolLengths, build_table, message_ids, reindex_users
 from mwrelay.shuffle import decode_matrix, run_shuffle, simplify
 from mwrelay.sim import _stack_codes
+from test_channel import oracle_laws, ref_inverse_cdf
 
 
 def all_vectors(order, k):
@@ -336,7 +337,7 @@ def test_relay_decode_agrees_with_brute_force_oracle():
             g = gf.random_matrix(field, k, n, rng)
             q = gf.random_vec(field, n, rng)
             u = gf.random_vec(field, k, rng)
-            noise = sample_uplink_noise(up, n, rng)
+            noise = sample_uplink_noise(up, rng.random(n))
             y0 = field.add(field.add(gf.mat_mul(field, u, g), q), noise)
             est = relay_decode_sum(y0, BlockCode(k, n, g, {}), q, up)
             oracle, winners = brute_force_sum_decode(field, y0, g, q, up.noise_pmf)
@@ -497,7 +498,7 @@ def test_uplink_round_zero_noise_recovers_relay_word():
             continue
         msgs = random_messages(field, lengths, rng)
         codes, _ = make_block_codes(t, 2 * t.total_cols, field, rng)
-        noise = sample_uplink_noise(up, sum(c.n for c in codes.values()), rng)
+        noise = sample_uplink_noise(up, rng.random(sum(c.n for c in codes.values())))
         est = uplink_round(scheme, msgs, codes, up, noise)
         assert np.array_equal(est, relay_word(scheme, msgs))
         assert np.array_equal(est, ref_relay_word(field, msgs, t, cols))
@@ -510,7 +511,7 @@ def test_uplink_round_l2_single_block():
     t, cols, scheme = compiled(field, lengths)
     msgs = {(1,): np.array([1]), (2,): np.array([1]), (1, 2): np.zeros(0, dtype=np.int64)}
     codes, _ = make_block_codes(t, 2, field, stream(8, "l2"))
-    est = uplink_round(scheme, msgs, codes, up, sample_uplink_noise(up, 2, stream(8, "l2n")))
+    est = uplink_round(scheme, msgs, codes, up, sample_uplink_noise(up, stream(8, "l2n").random(2)))
     assert np.array_equal(est, field.add(msgs[(1,)], msgs[(2,)]))
     assert block_owner((2,)) == 2
 
@@ -792,7 +793,7 @@ def test_dither_invariance_of_zero_noise_result():
     outs = []
     for seed in (1, 2, 3):
         codes, _ = make_block_codes(t, 2 * t.total_cols, field, stream(seed, "dith"))
-        noise = sample_uplink_noise(up, 2 * t.total_cols, stream(seed, "n"))
+        noise = sample_uplink_noise(up, stream(seed, "n").random(2 * t.total_cols))
         outs.append(uplink_round(scheme, msgs, codes, up, noise))
     assert all(np.array_equal(o, outs[0]) for o in outs)
 
@@ -898,7 +899,7 @@ def test_stacked_calls_equal_per_trial_calls():
         rng = stream(8, "stacked", order)
         msgs = [random_messages(field, lengths_l3(), rng) for _ in range(trials)]
         codes = [make_block_codes(t, 2 * t.total_cols, field, rng)[0] for _ in range(trials)]
-        noise = [sample_uplink_noise(up, 2 * t.total_cols, rng) for _ in range(trials)]
+        noise = [sample_uplink_noise(up, rng.random(2 * t.total_cols)) for _ in range(trials)]
         keys = rng.integers(0, 2**64, size=trials, dtype=np.uint64)
         uniforms = rng.random((trials, 6))
         stacked = {m: np.stack([mm[m] for mm in msgs]) for m in msgs[0]}
@@ -934,10 +935,8 @@ def test_stacked_calls_equal_per_trial_calls():
                 assert all(np.array_equal(rec[m][i], rec_i[m]) for m in rec_i)
 
 
-def ref_codeword(dist, n_dl, key, word):
-    """The documented codebook hash in Python integers, inverse CDF by bisection."""
-    import bisect
-
+def ref_draws(n_dl, key, word):
+    """The documented codebook hash in Python integers: position t's uniform m 2^-53."""
     mask, gamma = 2**64 - 1, 0x9E3779B97F4A7C15
 
     def splitmix(z):
@@ -947,12 +946,12 @@ def ref_codeword(dist, n_dl, key, word):
 
     mult = [splitmix((key + gamma * (j + 1)) & mask) | 1 for j in range(len(word))]
     seed = splitmix((key + sum((int(w) + 1) * m for w, m in zip(word, mult))) & mask)
-    cdf = np.cumsum(dist).tolist()
-    last = max(i for i, p in enumerate(dist) if p > 0)
-    return [
-        min(bisect.bisect_left(cdf, (splitmix((seed + gamma * (t + 1)) & mask) >> 11) * 2.0**-53), last)
-        for t in range(n_dl)
-    ]
+    return [(splitmix((seed + gamma * (t + 1)) & mask) >> 11) * 2.0**-53 for t in range(n_dl)]
+
+
+def ref_codeword(dist, n_dl, key, word):
+    """The hash's uniforms through the inverse-CDF oracle."""
+    return [ref_inverse_cdf(dist, u) for u in ref_draws(n_dl, key, word)]
 
 
 def test_codeword_matches_the_hash_computed_in_python_integers():
@@ -960,6 +959,27 @@ def test_codeword_matches_the_hash_computed_in_python_integers():
     for dist in ([0.5, 0.5], [0.25, 0.25, 0.5], [0.55, 0.3, 0.0, 0.15], [0.2, 0.8, 0.0], [1.0, 0.0]):
         keys = rng.integers(0, 2**64, size=3, dtype=np.uint64)
         words = rng.integers(0, 4, size=(3, 4, 5))
+        rows = DownlinkCodebook(np.array(dist), 24, keys).codeword(words)
+        for i, key in enumerate(keys):
+            for j, word in enumerate(words[i]):
+                assert rows[i, j].tolist() == ref_codeword(dist, 24, int(key), word)
+
+
+def test_codeword_matches_the_inverse_cdf_oracle_on_steps_and_short_rows():
+    rng = stream(8, "codeword-oracle")
+    key, word = int(rng.integers(0, 2**64, dtype=np.uint64)), rng.integers(0, 4, 5)
+    draws = ref_draws(6, key, word)
+    # A step set to a draw itself, or one ulp either side; zeros in the middle and at the end.
+    for t, u in enumerate(draws):
+        for c in (np.nextafter(u, 0.0), u, np.nextafter(u, 1.0)):
+            dist = [c, 0.0, 1.0 - c, 0.0]
+            rows = DownlinkCodebook(np.array(dist), 6, key).codeword(word)
+            assert rows.tolist() == ref_codeword(dist, 6, key, word)
+            assert rows[t] == (0 if u <= c else 2)
+    # Rows summing to 1 - 1e-13, a stack of keys and words.
+    keys = rng.integers(0, 2**64, size=3, dtype=np.uint64)
+    words = rng.integers(0, 4, size=(3, 4, 5))
+    for dist in oracle_laws(8).tolist():
         rows = DownlinkCodebook(np.array(dist), 24, keys).codeword(words)
         for i, key in enumerate(keys):
             for j, word in enumerate(words[i]):

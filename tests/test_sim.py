@@ -325,7 +325,7 @@ def ref_run_trial(cfg: TrialConfig, down, scheme, t: int) -> tuple[bool, int, bo
     rng = stream(cfg.master_seed, "trial", t)
     messages = {m: gf.random_vec(field, lengths.k[m], rng) for m in scheme.ids}
     codes, redraws = codec.make_block_codes(scheme.table, cfg.n, field, rng)
-    noise = sample_uplink_noise(cfg.up, sum(c.n for c in codes.values()), rng)
+    noise = sample_uplink_noise(cfg.up, rng.random(sum(c.n for c in codes.values())))
     word_hat = codec.uplink_round(scheme, messages, codes, cfg.up, noise)
     key = rng.integers(0, 2**64, dtype=np.uint64)
     codebook = codec.DownlinkCodebook(np.full(down.input_size, 1 / down.input_size), cfg.n_dl, key)
