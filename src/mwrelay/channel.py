@@ -167,11 +167,13 @@ def cdf_steps(w: np.ndarray) -> np.ndarray:
     """The CDF steps a uniform can pass, step axis first: (V,) -> (V - 1,), (X, V) -> (V - 1, X).
 
     Step j of a row is its running sum through symbol j; steps from its last positive-probability
-    symbol on are +inf, so float roundoff in the sum never carries a draw past that symbol.
+    symbol on are +inf, so float roundoff in the sum never carries a draw past that symbol, and
+    steps before its first one are -inf, so a draw of 0 never selects a symbol of probability 0.
     """
     w = w.T
     steps = np.cumsum(w[:-1], axis=0)
     steps[np.cumsum(w[:0:-1], axis=0)[::-1] == 0] = np.inf  # no probability after step j
+    steps[steps == 0] = -np.inf  # none up to step j
     return steps
 
 

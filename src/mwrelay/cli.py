@@ -11,7 +11,8 @@ Subcommands::
 Each command reads one JSON config (--config).  Probabilities may be
 decimal strings ("0.5") and rates exact rationals ("39/100"); both are
 parsed exactly.  Exit codes: 0 success or affirmative verdict, 1
-negative verdict, 2 bad config or flag, 3 desk-scale capability exceeded.
+negative verdict, 2 bad config or flag, 3 desk-scale capability exceeded,
+4 internal error (a bug; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +117,8 @@ def parse_channel(obj: dict) -> tuple[UplinkSpec, DownlinkSpec]:
         _require_keys(u, {"matrix"}, f"downlink user {i}", {"matrix"})
         where = f"downlink user {i} matrix"
         rows = [_probability_list(row, where) for row in _list(u["matrix"], where)]
+        if not rows or len({row.size for row in rows}) > 1:
+            raise ConfigError(f"{where} must be a nonempty list of equal-length rows")
         users.append(np.stack(rows))
     try:
         down = DownlinkSpec(_integer(dl["input_size"], "downlink.input_size"), tuple(users))
@@ -407,10 +411,14 @@ def main(argv=None) -> int:
     except argparse.ArgumentError as exc:
         print(f"mwrelay {args.command}: error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         # every value reaching the modules comes from the config file
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

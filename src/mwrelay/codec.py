@@ -16,8 +16,8 @@ keep the index of a ``gf.span`` row, and ``gf.span_vectors`` turns it into digit
 Downlink: the relay indexes a counter-based random codebook by the
 concatenated decoded sums and broadcasts the selected word; each user
 restricts attention to the sum vectors consistent with its own
-messages, decodes by exact maximum likelihood, and reads the messages
-it lacks from the decoded word's witness.
+messages, decodes a candidate row by exact maximum likelihood, and reads
+the messages it lacks from that row's witness.
 """
 
 from __future__ import annotations
@@ -190,17 +190,13 @@ class UserMap:
 
     ``image`` is the ``gf.span`` of the unknown symbols' rows (concatenated
     in ``unknown`` order), so row j is the word of the assignment with
-    big-endian index j.  ``keys`` are its words' indices, ascending;
-    ``witnesses[i]`` is the assignment index j whose word has ``keys[i]``.
-    The arrays are shared by every trial and read-only.
+    big-endian index j.  The arrays are shared by every trial and read-only.
     """
 
     known: tuple[MsgId, ...]
     unknown: tuple[MsgId, ...]
     r_known: np.ndarray
     image: np.ndarray
-    keys: np.ndarray
-    witnesses: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -258,16 +254,13 @@ def compile_scheme(field: Field, table: MessageTable, cols: list[SimplifiedColum
         unknown = tuple(m for m in ids if a not in m)
         image = gf.span(field, relay[rows(unknown)])
         keys = gf.span_index(field, image)
-        order = np.argsort(keys)
-        if np.any(np.diff(keys[order]) == 0):
+        keys.sort()
+        if np.any(keys[1:] == keys[:-1]):
             raise ShuffleError(
                 f"user {a}: the relay word does not determine its unknown messages;"
                 f" shuffle guarantees violated"
             )
-        users.append(UserMap(
-            known, unknown, _frozen(relay[rows(known)]),
-            _frozen(image), _frozen(keys[order]), _frozen(order),
-        ))
+        users.append(UserMap(known, unknown, _frozen(relay[rows(known)]), _frozen(image)))
     return Scheme(field, table, ids, _frozen(relay), _frozen(func), tuple(users))
 
 
@@ -316,22 +309,21 @@ class CandidateSet:
 
     ``words`` rows are sorted lexicographically (equal to ascending
     big-endian integer index); (T, C, N) for stacked messages.
+    ``witnesses[..., i]`` is the big-endian index of the unknown messages'
+    assignment whose word is row i.
     """
 
     words: np.ndarray
-
-
-def _known_offset(scheme: Scheme, user: UserMap, known: Messages) -> np.ndarray:
-    """The known messages' part of the relay word, u0 = known R_known."""
-    return gf.mat_mul(scheme.field, _symbols(known, user.known), user.r_known)
+    witnesses: np.ndarray
 
 
 def candidate_set(scheme: Scheme, a: int, known: Messages) -> CandidateSet:
-    """The relay words user ``a`` cannot rule out a priori: u0 plus its image."""
+    """The relay words user ``a`` cannot rule out a priori: u0 = known R_known plus its image."""
     user = scheme.users[a - 1]
-    words = scheme.field.add(user.image, _known_offset(scheme, user, known)[..., None, :])
+    u0 = gf.mat_mul(scheme.field, _symbols(known, user.known), user.r_known)
+    words = scheme.field.add(user.image, u0[..., None, :])
     order = np.argsort(gf.span_index(scheme.field, words), axis=-1)
-    return CandidateSet(np.take_along_axis(words, order[..., None], axis=-2))
+    return CandidateSet(np.take_along_axis(words, order[..., None], axis=-2), order)
 
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -396,31 +388,26 @@ def user_decode_word(
     candidates: CandidateSet,
     down: DownlinkSpec,
     a: int,
-) -> np.ndarray:
-    """Exact ML over the candidate relay words, by joint type with ``y_a``; ties to the first."""
+) -> int | np.ndarray:
+    """The candidate row exact ML picks, by joint type with ``y_a``; ties to the first.
+
+    An int, or a (T,) array of rows for stacked candidates.
+    """
     if codebook.input_dist.size > down.input_size:
         raise ValueError("codebook alphabet exceeds the downlink input alphabet")
     w = down.channel(a)
     x, dtype = codebook.codeword(candidates.words), np.min_scalar_type(w.size - 1)
     index = np.multiply(x, w.shape[1], dtype=dtype, casting="unsafe")  # x |Y| + y, narrow
     np.add(index, np.asarray(y_a)[..., None, :], out=index, casting="unsafe")
-    best = most_likely(w.ravel(), index)
-    return np.take_along_axis(candidates.words, np.asarray(best)[..., None, None], axis=-2)[..., 0, :]
+    return most_likely(w.ravel(), index)
 
 
-def recover_messages(scheme: Scheme, a: int, word: np.ndarray, known: Messages) -> Messages:
-    """All messages user ``a`` must decode, given the relay word.
-
-    The word minus the known messages' part is looked up in the user's
-    cached image keys; its witness indexes the unknown messages.
-    """
+def recover_messages(
+    scheme: Scheme, a: int, candidates: CandidateSet, row: int | np.ndarray
+) -> Messages:
+    """The messages user ``a`` lacks, read from the witness of the decoded candidate ``row``."""
     user = scheme.users[a - 1]
-    word = np.asarray(word, dtype=np.int64)
-    rest = scheme.field.sub(word, _known_offset(scheme, user, known))
-    key = gf.span_index(scheme.field, rest)
-    i = np.minimum(np.searchsorted(user.keys, key), user.keys.size - 1)
-    if np.any(user.keys[i] != key):
-        raise ValueError(f"user {a}: {word.tolist()} is not a candidate relay word")
+    witness = np.take_along_axis(candidates.witnesses, np.asarray(row)[..., None], axis=-1)[..., 0]
     k = [scheme.table.lengths.k[m] for m in user.unknown]
-    digits = gf.span_vectors(scheme.field, user.witnesses[i], sum(k))
+    digits = gf.span_vectors(scheme.field, witness, sum(k))
     return {m: digits[..., end - w : end] for m, w, end in zip(user.unknown, k, accumulate(k))}

@@ -189,9 +189,10 @@ def _decode_trials(
         known = {m: v for m, v in messages.items() if a in m}
         cands = codec.candidate_set(scheme, a, known)
         y_a = sample_downlink(down, a, x0, uniforms[:, a - 1])
-        word_a = codec.user_decode_word(y_a, codebook, cands, down, a)
+        row = codec.user_decode_word(y_a, codebook, cands, down, a)
+        word_a = np.take_along_axis(cands.words, row[:, None, None], axis=-2)[:, 0]
         downlink = downlink | np.any(word_a != word_hat, axis=-1)
-        for m, v in codec.recover_messages(scheme, a, word_a, known).items():
+        for m, v in codec.recover_messages(scheme, a, cands, row).items():
             failed = failed | np.any(v != messages[m], axis=-1)
     if np.any(failed & ~uplink & ~downlink):
         raise RuntimeError("every relay word decoded correctly, yet a message was recovered wrongly")

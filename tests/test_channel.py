@@ -166,22 +166,27 @@ def test_draws_stop_at_the_last_positive_symbol():
 
 
 def ref_inverse_cdf(row, u):
-    """Inverse CDF in Python floats: the first j whose running sum reaches u,
-    capped at the last positive-probability symbol of ``row``."""
+    """Inverse CDF in Python floats: the first j whose positive running sum
+    reaches u, capped at the last positive-probability symbol of ``row``."""
     last = max(j for j, p in enumerate(row) if p > 0)
-    return min(next((j for j, c in enumerate(accumulate(row)) if u <= c), last), last)
+    return min(next((j for j, c in enumerate(accumulate(row)) if u <= c and c > 0), last), last)
 
 
 def oracle_laws(seed):
     """Seeded 5-symbol rows: zeros in the middle and at the end, then the same
-    rows scaled to sum to 1 - 1e-13, which validation accepts."""
+    rows scaled to sum to 1 - 1e-13, which validation accepts; after them,
+    rows with leading zeros, exact and scaled."""
     rng = stream(seed, "oracle-laws")
-    rows = []
-    for zeros in ([], [2], [4], [3, 4], [1, 3, 4]):
-        row = rng.random(5) + 0.05
-        row[zeros] = 0.0
-        rows.append(row / row.sum())
-    return np.array(rows + [row * (1 - 1e-13) for row in rows])
+
+    def laws(patterns):
+        rows = []
+        for zeros in patterns:
+            row = rng.random(5) + 0.05
+            row[zeros] = 0.0
+            rows.append(row / row.sum())
+        return rows + [row * (1 - 1e-13) for row in rows]
+
+    return np.array(laws(([], [2], [4], [3, 4], [1, 3, 4])) + laws(([0], [0, 1], [0, 2, 4])))
 
 
 def oracle_uniforms(row, seed):
@@ -195,7 +200,8 @@ def oracle_uniforms(row, seed):
 
 def test_samplers_match_the_inverse_cdf_oracle():
     laws = oracle_laws(5)
-    assert (abs(laws.sum(axis=1)[5:] - (1 - 1e-13)) < 1e-15).all()
+    assert (abs(laws.sum(axis=1)[np.r_[5:10, 13:16]] - (1 - 1e-13)) < 1e-15).all()
+    assert (laws[10:, 0] == 0).all()
     down = DownlinkSpec(len(laws), (laws,))
     on_step = 0
     for x, row in enumerate(laws):

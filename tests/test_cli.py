@@ -405,6 +405,18 @@ FALSY = [[], 0, False, "", None]
         (
             "region-check",
             "f4_pairwise_counterexample.json",
+            lambda c: c["channel"]["downlink"]["users"][0].update(matrix=[]),
+            "downlink user 1 matrix must be a nonempty list of equal-length rows",
+        ),
+        (
+            "simulate",
+            "noisy_uplink_small.json",
+            lambda c: c["channel"]["downlink"]["users"][1].update(matrix=[["1", "0"], ["1"]]),
+            "downlink user 2 matrix must be a nonempty list of equal-length rows",
+        ),
+        (
+            "region-check",
+            "f4_pairwise_counterexample.json",
             lambda c: c["channel"]["downlink"].update(users="abc"),
             "downlink.users must be a JSON list",
         ),
@@ -491,7 +503,7 @@ FALSY = [[], 0, False, "", None]
     ids=["repeated-common-pair", "repeated-length-pair", "non-integer-key", "equal-pair-axis",
          "unknown-axis", "same-axis-twice", "bool-rate", "bool-probability", "common-list", "k-list",
          "private-string", "noise-pmf-string", "reduction-poly-string", "reduction-poly-float",
-         "matrix-row-strings",
+         "matrix-row-strings", "empty-matrix", "ragged-matrix",
          "users-string", "caps-string", "sweep-values-string",
          "no-input-size", "no-matrix", "no-field-order", "no-sweep-axis", "no-sweep-values",
          "no-noise-pmf", "no-lengths-k", "no-region-sweep-step", "no-private",
@@ -575,6 +587,18 @@ def test_an_unwritable_output_path_exits_2_naming_it(
     assert err.startswith(f"mwrelay {command}: error: argument {flag}: cannot write {path}: ")
     assert len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_an_internal_error_exits_4_with_its_traceback(capsys, monkeypatch):
+    # A KeyError or TypeError can only come from a bug, never from the config.
+    def work(cfg, args):
+        raise KeyError("no such slot")
+
+    monkeypatch.setitem(cli.COMMANDS, "schedule-build", work)
+    code, out, err = run(["schedule-build", "--config", CONFIGS / L3], capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error:\nTraceback (most recent call last):")
+    assert err.rstrip().endswith("KeyError: 'no such slot'") and "config error" not in err
 
 
 def test_a_failed_run_leaves_no_output_file(tmp_path, capsys):

@@ -534,11 +534,12 @@ def test_relay_word_linearity():
             assert np.array_equal(relay_word(scheme, msum), lhs)
 
 
-def brute_force_candidates(field, a, known, table, cols):
-    """Oracle: enumerate assignments one by one through the pipeline."""
+def brute_force_words(field, a, known, table, cols):
+    """Oracle: every assignment of the unknown messages, in big-endian order,
+    one by one through the pipeline; entry j is the word of assignment j."""
     lengths = table.lengths
     unknown_ids = [m for m in message_ids(table.num_users) if a not in m]
-    words = set()
+    words = []
     spans = [(m, lengths.k[m]) for m in unknown_ids]
     total = sum(s for _, s in spans)
     for assign in itertools.product(range(field.order), repeat=total):
@@ -547,8 +548,14 @@ def brute_force_candidates(field, a, known, table, cols):
         for m, s in spans:
             msgs[m] = np.array(assign[at : at + s], dtype=np.int64)
             at += s
-        words.add(tuple(ref_relay_word(field, msgs, table, cols).tolist()))
+        words.append(tuple(ref_relay_word(field, msgs, table, cols).tolist()))
     return words
+
+
+def row_of(cand, word):
+    """The row of ``word`` among single-trial candidates."""
+    (row,) = np.flatnonzero((cand.words == word).all(axis=-1))
+    return int(row)
 
 
 def test_candidate_set_matches_brute_force_and_bound():
@@ -563,19 +570,46 @@ def test_candidate_set_matches_brute_force_and_bound():
             for a in (1, 2, 3):
                 known = {m: v for m, v in msgs.items() if a in m}
                 cand = candidate_set(scheme, a, known)
-                oracle = brute_force_candidates(field, a, known, t, cols)
+                oracle = set(brute_force_words(field, a, known, t, cols))
                 assert {tuple(w.tolist()) for w in cand.words} == oracle
                 # ascending big-endian order, the ML tie-break order
                 assert [tuple(w) for w in cand.words.tolist()] == sorted(oracle)
                 assert cand.words.shape[0] <= field.order ** lengths.k_sums()[a - 1]
                 # witnesses reproduce their words
                 for i in range(cand.words.shape[0]):
-                    witness = {**known, **recover_messages(scheme, a, cand.words[i], known)}
+                    witness = {**known, **recover_messages(scheme, a, cand, i)}
                     w = ref_relay_word(field, witness, t, cols)
                     assert np.array_equal(w, cand.words[i])
                 # true word is always a candidate
                 truth = ref_relay_word(field, msgs, t, cols)
                 assert any(np.array_equal(truth, w) for w in cand.words)
+
+
+def test_candidate_witnesses_index_the_assignments_of_their_words():
+    # Witness j of a row is the big-endian index of an assignment of the unknown
+    # messages; assignment j through the per-column relay map gives the row's word.
+    rng = stream(8, "witness")
+    for order in (2, 3, 4):
+        field = Field(order)
+        checked = 0
+        while checked < 8:
+            num_users = int(rng.integers(2, 5))
+            lengths = SymbolLengths(
+                num_users, {m: int(rng.integers(0, 3)) for m in message_ids(num_users)}
+            )
+            _, lengths = reindex_users(lengths)
+            if order ** max(lengths.k_sums()) > 256:
+                continue
+            t, cols, scheme = compiled(field, lengths)
+            msgs = random_messages(field, lengths, rng)
+            for a in range(1, num_users + 1):
+                known = {m: v for m, v in msgs.items() if a in m}
+                cand = candidate_set(scheme, a, known)
+                oracle = brute_force_words(field, a, known, t, cols)
+                assert cand.witnesses.shape == cand.words.shape[:1]
+                for word, j in zip(cand.words.tolist(), cand.witnesses.tolist()):
+                    assert tuple(word) == oracle[j]
+            checked += 1
 
 
 def test_candidate_set_bound_on_200_random_instances():
@@ -622,10 +656,10 @@ def test_candidate_set_capability_bound():
 
 def test_compile_scheme_keeps_no_table_of_enumerated_vectors():
     # User 1 has 2^20 unknown assignments.  The scheme keeps its image (20 MiB
-    # of uint8), the sorted keys and the 1-D witness indices (8 MiB each); a
-    # table of the assignments themselves would add 160 MiB of int64.  Keying
-    # the image must not widen it whole to int64 either, which would be
-    # another 160 MiB at the peak.
+    # of uint8) and no keys or witnesses (8 MiB of int64 each); a table of the
+    # assignments themselves would add 160 MiB of int64.  Keying the image to
+    # check injectivity must not widen it whole to int64 either, which would
+    # be another 160 MiB at the peak.
     _, lengths = reindex_users(SymbolLengths(3, {(2,): 7, (3,): 7, (2, 3): 6}))
     t, cols = built(lengths)
     tracemalloc.start()
@@ -635,8 +669,7 @@ def test_compile_scheme_keeps_no_table_of_enumerated_vectors():
     finally:
         tracemalloc.stop()
     assert scheme.users[0].image.shape == (2**20, 20)
-    assert all(user.witnesses.ndim == 1 for user in scheme.users)
-    assert held < 64 * 2**20
+    assert held < 24 * 2**20
     assert peak <= 2 * held
 
 
@@ -664,7 +697,7 @@ def test_user_decode_noiseless_identity():
         known = {m: v for m, v in msgs.items() if a in m}
         cand = candidate_set(scheme, a, known)
         got = user_decode_word(x0, cb, cand, down, a)
-        assert np.array_equal(got, truth)
+        assert np.array_equal(cand.words[got], truth)
 
 
 def test_user_decode_ties_go_to_the_smallest_candidate():
@@ -684,7 +717,8 @@ def test_user_decode_ties_go_to_the_smallest_candidate():
         for a in (1, 2, 3):
             cand = candidate_set(scheme, a, {m: v for m, v in msgs.items() if a in m})
             got = user_decode_word(y, cb, cand, down, a)
-            assert np.array_equal(got, ref_user_decode(y, cb, cand.words, down.channel(a)))
+            want = ref_user_decode(y, cb, cand.words, down.channel(a))
+            assert np.array_equal(cand.words[got], want)
             tied += sum(np.array_equal(cb.codeword(w), y) for w in cand.words) > 1
     assert tied >= 10
 
@@ -714,9 +748,10 @@ def test_user_decode_breaks_joint_type_ties_exactly():
             for i in range(trials):
                 cb_i = DownlinkCodebook(np.array([0.5, 0.5]), n_dl, keys[i])
                 want = ref_user_decode(y[i], cb_i, cand.words[i], w)
-                assert np.array_equal(got[i], want)
+                assert np.array_equal(cand.words[i, got[i]], want)
                 single = candidate_set(scheme, a, {m: v[i] for m, v in known.items()})
-                assert np.array_equal(user_decode_word(y[i], cb_i, single, down, a), want)
+                row = user_decode_word(y[i], cb_i, single, down, a)
+                assert np.array_equal(single.words[row], want)
                 # Likelihood 0.1^n_dl 8^N: the rows with the most 0.8 pairs
                 # tie, and count when they have more than one joint type.
                 rows = cb_i.codeword(cand.words[i])
@@ -739,8 +774,7 @@ def test_user_decode_single_candidate():
     known = {(2,): np.array([1]), (1, 2): np.zeros(0, dtype=np.int64), (1,): np.zeros(0, dtype=np.int64)}
     cand = candidate_set(scheme1, 2, known)
     assert cand.words.shape[0] == 1
-    got = user_decode_word(np.zeros(16, dtype=np.int64), cb, cand, down, 2)
-    assert np.array_equal(got, cand.words[0])
+    assert user_decode_word(np.zeros(16, dtype=np.int64), cb, cand, down, 2) == 0
     wide = DownlinkCodebook(np.full(3, 1 / 3), 16, 4)
     with pytest.raises(ValueError):
         user_decode_word(np.zeros(16, dtype=np.int64), wide, cand, down, 2)
@@ -761,15 +795,16 @@ def test_recover_messages_round_trip_and_negative_control():
             truth = relay_word(scheme, msgs)
             for a in range(1, num_users + 1):
                 known = {m: v for m, v in msgs.items() if a in m}
-                rec = recover_messages(scheme, a, truth, known)
+                cand = candidate_set(scheme, a, known)
+                rec = recover_messages(scheme, a, cand, row_of(cand, truth))
                 assert set(rec) == {m for m in message_ids(num_users) if a not in m}
                 for m, v in rec.items():
                     assert np.array_equal(v, msgs[m]), (a, m)
             if t.total_cols:
                 corrupted = truth.copy()
                 corrupted[0] = field.add(int(corrupted[0]), 1)
-                known = {m: v for m, v in msgs.items() if 1 in m}
-                rec = recover_messages(scheme, 1, corrupted, known)
+                cand = candidate_set(scheme, 1, {m: v for m, v in msgs.items() if 1 in m})
+                rec = recover_messages(scheme, 1, cand, row_of(cand, corrupted))
                 assert any(not np.array_equal(rec[m], msgs[m]) for m in rec)
 
 
@@ -780,7 +815,8 @@ def test_l2_user2_subtracts_own_message():
     msgs = {(1,): np.array([1, 0]), (2,): np.array([1, 1]), (1, 2): np.zeros(0, dtype=np.int64)}
     word = relay_word(scheme, msgs)
     assert np.array_equal(word, field.add(msgs[(1,)], msgs[(2,)]))
-    rec = recover_messages(scheme, 2, word, {(2,): msgs[(2,)], (1, 2): msgs[(1, 2)]})
+    cand = candidate_set(scheme, 2, {(2,): msgs[(2,)], (1, 2): msgs[(1, 2)]})
+    rec = recover_messages(scheme, 2, cand, row_of(cand, word))
     assert np.array_equal(rec[(1,)], msgs[(1,)])
 
 
@@ -829,9 +865,10 @@ def test_compiled_path_matches_reference_loops_on_bsc_downlinks():
                 known = {m: v for m, v in msgs.items() if a in m}
                 cand = candidate_set(scheme, a, known)
                 y = sample_downlink(down, a, x0, rng.random(x0.shape))
-                got = user_decode_word(y, cb, cand, down, a)
+                row = user_decode_word(y, cb, cand, down, a)
+                got = cand.words[row]
                 assert np.array_equal(got, ref_user_decode(y, cb, cand.words, down.channel(a)))
-                rec = recover_messages(scheme, a, got, known)
+                rec = recover_messages(scheme, a, cand, row)
                 ref = ref_recover_messages(field, a, got, known, t, cols)
                 assert set(rec) == set(ref)
                 for m in rec:
@@ -877,14 +914,14 @@ def test_shared_arrays_are_read_only():
     by_hand = BlockCode(2, 4, drawn.generator, {})
     shared = [drawn.words, by_hand.span(Field(9)), scheme.relay, scheme.func]
     for user in scheme.users:
-        shared += [user.image, user.keys, user.witnesses, user.r_known]
+        shared += [user.image, user.r_known]
     for arr in shared:
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1
     # callers get copies they may write
     msgs = random_messages(field, lengths_l3(), stream(8, "ro"))
-    known = {m: v for m, v in msgs.items() if 2 in m}
-    rec = recover_messages(scheme, 2, relay_word(scheme, msgs), known)
+    cand = candidate_set(scheme, 2, {m: v for m, v in msgs.items() if 2 in m})
+    rec = recover_messages(scheme, 2, cand, row_of(cand, relay_word(scheme, msgs)))
     rec[(1,)][0] = 0
 
 
@@ -921,17 +958,18 @@ def test_stacked_calls_equal_per_trial_calls():
             cand = candidate_set(scheme, a, known)
             y = sample_downlink(down, a, x0, uniforms)
             got = user_decode_word(y, cb, cand, down, a)
-            rec = recover_messages(scheme, a, got, known)
+            rec = recover_messages(scheme, a, cand, got)
             for i in range(trials):
                 known_i = {m: v[i] for m, v in known.items()}
                 cand_i = candidate_set(scheme, a, known_i)
                 assert np.array_equal(cand.words[i], cand_i.words)
+                assert np.array_equal(cand.witnesses[i], cand_i.witnesses)
                 cb_i = DownlinkCodebook(np.array([0.5, 0.5]), 6, keys[i])
                 assert np.array_equal(cb.codeword(cand.words)[i], cb_i.codeword(cand_i.words))
                 assert np.array_equal(y[i], sample_downlink(down, a, x0[i], uniforms[i]))
                 got_i = user_decode_word(y[i], cb_i, cand_i, down, a)
-                assert np.array_equal(got[i], got_i)
-                rec_i = recover_messages(scheme, a, got_i, known_i)
+                assert got[i] == got_i
+                rec_i = recover_messages(scheme, a, cand_i, got_i)
                 assert all(np.array_equal(rec[m][i], rec_i[m]) for m in rec_i)
 
 

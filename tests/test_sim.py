@@ -264,7 +264,7 @@ def test_downlink_errors_shrink_with_codeword_length():
             known = {m: v for m, v in msgs.items() if 2 in m}
             cands = codec.candidate_set(scheme, 2, known)
             y = sample_downlink(down, 2, x0, stream(12, "dlnoise", n_dl, t).random(x0.shape))
-            got = codec.user_decode_word(y, cb, cands, down, 2)
+            got = cands.words[codec.user_decode_word(y, cb, cands, down, 2)]
             wrong += not onp.array_equal(got, truth)
         errors[n_dl] = wrong
     # rate 3/40 is far below I(X0;Y) ~ 0.53, 3/6 is not
@@ -335,9 +335,9 @@ def ref_run_trial(cfg: TrialConfig, down, scheme, t: int) -> tuple[bool, int, bo
         known = {m: v for m, v in messages.items() if a in m}
         cands = codec.candidate_set(scheme, a, known)
         y_a = sample_downlink(down, a, x0, rng.random(x0.shape))
-        word_a = codec.user_decode_word(y_a, codebook, cands, down, a)
-        downlink |= not np.array_equal(word_a, word_hat)
-        recovered = codec.recover_messages(scheme, a, word_a, known)
+        row = codec.user_decode_word(y_a, codebook, cands, down, a)
+        downlink |= not np.array_equal(cands.words[row], word_hat)
+        recovered = codec.recover_messages(scheme, a, cands, row)
         failed |= any(not np.array_equal(v, messages[m]) for m, v in recovered.items())
     uplink = not np.array_equal(word_hat, codec.relay_word(scheme, messages))
     return failed, redraws, uplink, downlink
@@ -501,8 +501,8 @@ def test_error_events_on_the_bundled_configs():
 def test_a_wrong_recovery_from_right_words_is_an_internal_error(monkeypatch):
     recover = codec.recover_messages
 
-    def corrupt(scheme, a, word, known):
-        return {m: v ^ 1 for m, v in recover(scheme, a, word, known).items()}
+    def corrupt(scheme, a, candidates, row):
+        return {m: v ^ 1 for m, v in recover(scheme, a, candidates, row).items()}
 
     monkeypatch.setattr(codec, "recover_messages", corrupt)
     with pytest.raises(RuntimeError, match="recovered wrongly"):
