@@ -291,7 +291,7 @@ def test_end_to_end_error_decreases_with_n():
     up = UplinkSpec(field, np.array([0.89, 0.11]))
     rates = RateTuple.from_lists(["1/16", "1/16", "1/16"])
     cfg = TrialConfig(
-        up, identity_downlink(3, 2), n=16, n_dl=64, trials=300, master_seed=31, rates=rates
+        up, identity_downlink(3, 2), n=16, n_dl=64, trials=1500, master_seed=31, rates=rates
     )
     rows = dict(sweep(cfg, "n", [16, 48]))
     assert rows[16.0].p_hat > rows[48.0].p_hat
