@@ -31,7 +31,7 @@ import numpy as np
 from . import gf
 from .channel import DownlinkSpec, UplinkSpec, cdf_steps, inverse_cdf, most_likely, validate_pmf
 from .gf import ENUMERATION_LIMIT, CapabilityError, Field  # noqa: F401  (re-exported)
-from .rng import stream  # noqa: F401  (bench/tracing.py wraps codec.stream)
+from .rng import _GAMMA, _splitmix, seed, stream, uniforms  # noqa: F401  (bench wraps codec.stream)
 from .schedule import MessageTable, MsgId, message_ids
 from .shuffle import ShuffleError, SimplifiedColumn
 
@@ -82,38 +82,51 @@ def allocate_block_lengths(table: MessageTable, n: int) -> dict[MsgId, int]:
     return out
 
 
-def block_code(
-    field: Field, k: int, n: int, transmitters: tuple[int, ...], rng: np.random.Generator
-) -> tuple[BlockCode, int]:
-    """A uniform k-by-n generator of rank k and one dither per transmitter.
+def uniform_symbols(field: Field, u: np.ndarray) -> np.ndarray:
+    """Uniform field symbols, int64: ``inverse_cdf`` on the uniform law, the one sampler of them.
 
-    Draws from ``rng`` whose span has a zero column besides 0 G (rank below
-    k), found over the cached positions-major span, are discarded and
-    counted; the dithers are drawn next, in ``transmitters`` order.
+    Exact to the 2^-53 grid of ``rng.uniforms``: each symbol has probability 1/F within a few 2^-53.
+    """
+    return inverse_cdf(np.cumsum(np.full(field.order - 1, 1 / field.order)), u)
+
+
+def block_code(
+    field: Field, generator: np.ndarray, dithers: dict[int, np.ndarray], seeds: np.ndarray, label: int
+) -> tuple[BlockCode, int]:
+    """A stack of rank-k codes from a (T, k, n) stack of uniform generators and (T, n) dithers.
+
+    The stack is spanned in one ``gf.span``.  A generator whose span has a zero
+    column besides 0 G (rank below k) is redrawn, and only those trials are: at
+    attempt a, trial t's k n symbols come from ``rng.seed(seeds[t], label, a)``.
     Returns the code and the number of redraws.
     """
-    redraws = 0
-    code = BlockCode(k, n, gf.random_matrix(field, k, n, rng), {})
-    while np.count_nonzero(~code.span(field).any(axis=-2)) != 1:
-        redraws += 1
-        code = BlockCode(k, n, gf.random_matrix(field, k, n, rng), {})
-    code.dithers = {t: gf.random_vec(field, n, rng) for t in transmitters}
-    return code, redraws
+    generator, (_, k, n) = np.array(generator), generator.shape
+    words, redraws, attempt = gf.span(field, generator, positions_major=True), 0, 0
+    while (bad := np.flatnonzero(np.count_nonzero(~words.any(axis=-2), axis=-1) != 1)).size:
+        attempt, redraws = attempt + 1, redraws + bad.size
+        drawn = uniform_symbols(field, uniforms(seed(seeds[bad], label, attempt), k * n))
+        generator[bad] = drawn.reshape(bad.size, k, n)
+        words[bad] = gf.span(field, generator[bad], positions_major=True)
+    return BlockCode(k, n, generator, dithers, _frozen(words)), redraws
 
 
 def make_block_codes(
-    table: MessageTable, n: int, field: Field, rng: np.random.Generator
+    table: MessageTable, n: int, field: Field, symbols: np.ndarray, seeds: np.ndarray
 ) -> tuple[dict[MsgId, BlockCode], int]:
-    """Draw per-block full-rank codes (and dithers for the owner and user 1).
+    """Per-block rank-k codes for T trials, with dithers for the owner and user 1.
 
-    Returns the codes and the count of rank-deficient generator matrices
-    redrawn, for reporting.
+    ``symbols`` (T, .) holds each trial's uniform symbols, per block in block order
+    a row-major (k + 2)-by-n array: the generator, the owner's and user 1's dithers.
+    Block i redraws under label i.  Returns the codes and the redraw count.
     """
     lengths = allocate_block_lengths(table, n)
-    codes, redraws = {}, 0
-    for b in table.blocks:
-        codes[b.msg], r = block_code(field, b.width, lengths[b.msg], (block_owner(b.msg), 1), rng)
-        redraws += r
+    codes, redraws, start = {}, 0, 0
+    for i, b in enumerate(table.blocks):
+        k, m = b.width, lengths[b.msg]
+        s = symbols[:, start : start + (k + 2) * m].reshape(len(seeds), k + 2, m)
+        dithers = {block_owner(b.msg): s[:, k], 1: s[:, k + 1]}
+        codes[b.msg], r = block_code(field, s[:, :k], dithers, seeds, i)
+        redraws, start = redraws + r, start + (k + 2) * m
     return codes, redraws
 
 
@@ -326,21 +339,6 @@ def candidate_set(scheme: Scheme, a: int, known: Messages) -> CandidateSet:
     return CandidateSet(np.take_along_axis(words, order[..., None], axis=-2), order)
 
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX = tuple(np.uint64(c) for c in (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31))
-
-
-def _splitmix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's output function, a bijection of uint64 arrays."""
-    s1, m1, s2, m2, s3 = _MIX
-    z = z ^ (z >> s1)
-    z *= m1
-    z ^= z >> s2
-    z *= m2
-    z ^= z >> s3
-    return z
-
-
 class DownlinkCodebook:
     """Random codebook over the relay input alphabet, computed on demand.
 
@@ -350,8 +348,7 @@ class DownlinkCodebook:
     al., SC'11).  A word's digits are absorbed as a sum of
     per-position odd multipliers, each a SplitMix64 output of the key and
     the position, and mixed into the word's seed; position t of the
-    codeword is output t + 1 of the SplitMix64 sequence from that seed,
-    whose top 53 bits m give the uniform m 2^-53, exact as a float, that
+    codeword is ``rng.uniforms`` of that seed at t, which
     ``channel.inverse_cdf`` maps to a symbol.
     Words that differ in one position never share a seed.  A (T,) array
     of keys holds one codebook per trial.
@@ -363,7 +360,6 @@ class DownlinkCodebook:
             raise ValueError("input distribution must be 1-D")
         self.n_dl = int(n_dl)
         self.key = np.asarray(key, dtype=np.uint64)
-        self._counters = _GAMMA * np.arange(1, self.n_dl + 1, dtype=np.uint64)
         self._steps = cdf_steps(self.input_dist)
 
     def codeword(self, u: np.ndarray) -> np.ndarray:
@@ -378,8 +374,7 @@ class DownlinkCodebook:
         positions = np.arange(1, words.shape[-1] + 1, dtype=np.uint64)
         multipliers = _splitmix(key + _GAMMA * positions) | np.uint64(1)
         mixed = ((words + np.uint64(1)) * multipliers).sum(axis=-1, keepdims=True, dtype=np.uint64)
-        draws = _splitmix(_splitmix(key + mixed) + self._counters) >> np.uint64(11)
-        return inverse_cdf(self._steps, draws * 2.0**-53)
+        return inverse_cdf(self._steps, uniforms(_splitmix(key + mixed)[..., 0], self.n_dl))
 
 
 def user_decode_word(

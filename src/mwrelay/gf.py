@@ -271,9 +271,10 @@ def span(field: Field, g: np.ndarray, positions_major: bool = False) -> np.ndarr
     """All F^k words u g of a (..., k, n) generator stack, u big-endian: (..., F^k, n).
 
     Row i is u g for the u whose big-endian index is i; ``positions_major``
-    returns the (..., n, F^k) array they are built in.  Past ``ENUMERATION_LIMIT``
+    returns them as the columns of an (..., n, F^k) array.  Past ``ENUMERATION_LIMIT``
     words it raises ``CapabilityError`` before allocating.  Rows last to first,
-    W <- c g_r + W for each c in F adds in the smallest unsigned dtype holding F - 1.
+    W <- c g_r + W for each c in F adds in the smallest unsigned dtype holding F - 1,
+    broadcast through a unit axis after c's and one before W's words, in either layout.
     """
     *lead, k, n = g.shape
     if field.order**k > ENUMERATION_LIMIT:
@@ -282,12 +283,13 @@ def span(field: Field, g: np.ndarray, positions_major: bool = False) -> np.ndarr
             f" shrink the message lengths"
         )
     dtype = np.min_scalar_type(field.order - 1)
-    multiples = field.mul(np.swapaxes(g, -1, -2)[..., None], np.arange(field.order)).astype(dtype)
-    words = multiples[..., -1, :] if k else np.zeros((*lead, n, 1), dtype=dtype)
-    for r in range(k - 2, -1, -1):
-        words = field.add(multiples[..., r, :, None], words[..., None, :]).reshape(*lead, n, -1)
-    words = words.astype(dtype, copy=False)
-    return words if positions_major else np.ascontiguousarray(words.swapaxes(-1, -2))
+    multiples = field.mul(g[..., None], np.arange(field.order)).astype(dtype)[..., None]
+    multiples = multiples if positions_major else np.moveaxis(multiples, -3, -1)
+    shape = (*lead, n, 1, -1) if positions_major else (*lead, 1, -1, n)
+    words = np.zeros((*lead, n, 1, 1) if positions_major else (*lead, 1, 1, n), dtype=dtype)
+    for r in range(k - 1, -1, -1):
+        words = field.add(multiples[..., r, :, :, :], words).reshape(shape)
+    return np.squeeze(words, -2 if positions_major else -3).astype(dtype, copy=False)
 
 
 def span_index(field: Field, words: np.ndarray) -> np.ndarray:

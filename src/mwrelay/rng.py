@@ -1,9 +1,12 @@
-"""Deterministic counter-based random streams.
+"""The package's randomness: named Philox streams and one counter-based hash.
 
-Every random draw in this package comes from a named substream derived
-from a master seed plus a path of labels (strings or integers).  Streams
-are independent Philox generators, so results do not depend on the order
-in which streams are consumed or on how work is split into batches.
+``stream`` gives an independent Philox generator for a master seed and a
+path of labels.  A Monte Carlo call takes one 64-bit run key from it, and
+each of its draws is a pure function of (key, trial, position): ``seed``
+hashes labels into the key with SplitMix64 (Steele, Lea and Flood,
+OOPSLA'14) and ``uniforms`` reads a seed's counter sequence (Salmon et al.,
+SC'11).  uint64 arithmetic stays on arrays, which wrap silently: under
+numpy < 2 a uint64 scalar mixed with a Python int turns into float64.
 """
 
 from __future__ import annotations
@@ -11,6 +14,42 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX = tuple(np.uint64(c) for c in (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31))
+
+
+def _splitmix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function, a bijection of uint64 arrays."""
+    s1, m1, s2, m2, s3 = _MIX
+    z = z ^ (z >> s1)
+    z *= m1
+    z ^= z >> s2
+    z *= m2
+    z ^= z >> s3
+    return z
+
+
+def seed(key, *labels) -> np.ndarray:
+    """z <- SplitMix64(z + gamma (c + 1)) from z = key, for each integer label c in turn.
+
+    Labels are ints or integer arrays; given one, the seeds are a uint64 array of
+    their broadcast shape, at least 1-D.  seed(seed(key, t), b) is seed(key, t, b).
+    """
+    z = np.asarray(key, dtype=np.uint64)
+    for c in labels:
+        z = _splitmix(z + _GAMMA * (np.array(c, dtype=np.uint64, ndmin=1) + np.uint64(1)))
+    return z
+
+
+def uniforms(seeds: np.ndarray, count: int) -> np.ndarray:
+    """Outputs 1..count of each seed's SplitMix64 sequence as m 2^-53, m their top 53 bits.
+
+    (...) uint64 seeds -> (..., count) floats in [0, 1), each exact.
+    """
+    counters = _GAMMA * np.arange(1, count + 1, dtype=np.uint64)
+    z = _splitmix(np.asarray(seeds, dtype=np.uint64)[..., None] + counters)
+    return (z >> np.uint64(11)) * 2.0**-53
 
 
 def _path_key(component: int | str) -> int:

@@ -4,16 +4,14 @@ A trial is one draw from the random-coding ensemble: it runs the uplink,
 broadcasts the relay's decoded word over the downlink, and counts a
 failure when any user decodes any of its required messages wrongly.
 
-Trials run in two phases.  The draw phase takes everything a trial needs
-from one Philox stream keyed by the master seed and the trial index, in
-a fixed order: messages (in ``message_ids`` order), block codes (in
-block order, redraws included), uplink noise uniforms (in block order),
-the codebook key, then the downlink uniforms of users 1..L.  No draw's
-size depends on a decoded value (noise and outputs are uniforms mapped
-through the noise law and the channel rows), so every draw can be made
-before any decoding.  The decode phase then runs a chunk of trials
-through the ``codec`` functions at once, with a leading trial axis.
-Results therefore do not depend on chunk size or execution order.
+Each call takes one 64-bit run key from ``rng.stream``.  Trial t's draws
+are the ``rng.uniforms`` of its seed ``rng.seed(key, t)``, laid out once:
+the messages (in ``message_ids`` order) and each block's generator and
+owner's and user 1's dithers as uniform field symbols, then the n
+uplink-noise uniforms and users 1..L's downlink uniforms.  The seed is also
+the trial's codebook key.  A chunk of trials is drawn in one array
+expression and decoded through ``codec`` with a leading trial axis, so no
+result depends on chunk size or execution order.
 
 Chunks run one after another on the calling thread: a thread pool over
 them was slower than one thread on every measured workload.
@@ -24,14 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from . import codec, gf
+from . import codec, rng
 from .capacity import RateTuple
 from .channel import DownlinkSpec, UplinkSpec, sample_downlink, sample_uplink_noise
-from .rng import stream
-from .schedule import MsgId, SymbolLengths, build_table, reindex_users
+from .schedule import SymbolLengths, build_table, reindex_users
 from .shuffle import run_shuffle, simplify
 
 # Largest stacked array, in elements, one chunk of trials may build: the
@@ -138,54 +136,25 @@ def wilson_interval(failures: int, trials: int) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass
-class _Draws:
-    """Everything one trial takes from its stream, in the order it is drawn."""
-
-    messages: codec.Messages
-    codes: dict[MsgId, codec.BlockCode]
-    redraws: int
-    noise: np.ndarray  # the uplink noise uniforms, in block order
-    key: np.uint64
-    uniforms: np.ndarray  # (L, n_dl), users 1..L's downlink draws
-
-
-def _draw_trial(cfg: TrialConfig, scheme: codec.Scheme, t: int) -> _Draws:
-    field = cfg.up.field
-    rng = stream(cfg.master_seed, "trial", t)
-    messages = {m: gf.random_vec(field, scheme.table.lengths.k[m], rng) for m in scheme.ids}
-    codes, redraws = codec.make_block_codes(scheme.table, cfg.n, field, rng)
-    noise = rng.random(sum(c.n for c in codes.values()))
-    key = rng.integers(0, 2**64, dtype=np.uint64)
-    uniforms = rng.random((scheme.table.num_users, cfg.n_dl))
-    return _Draws(messages, codes, redraws, noise, key, uniforms)
-
-
-def _stack_codes(codes, field: gf.Field) -> codec.BlockCode:
-    """One trial's code per entry, as a stack of codes with their spans."""
-    first = codes[0]
-    dithers = {t: np.array([c.dithers[t] for c in codes]) for t in first.dithers}
-    generators = np.array([c.generator for c in codes])
-    words = np.array([c.span(field) for c in codes])
-    return codec.BlockCode(first.k, first.n, generators, dithers, words)
-
-
 def _decode_trials(
-    cfg: TrialConfig, down: DownlinkSpec, scheme: codec.Scheme, draws: list[_Draws]
+    cfg: TrialConfig, down: DownlinkSpec, scheme: codec.Scheme, seeds: np.ndarray, u: np.ndarray
 ) -> tuple[int, int, int, int]:
-    """Failures, redraws, uplink and downlink events of a chunk of drawn trials."""
-    messages = {m: np.array([d.messages[m] for d in draws]) for m in scheme.ids}
-    codes = {b: _stack_codes([d.codes[b] for d in draws], cfg.up.field) for b in draws[0].codes}
-    noise = sample_uplink_noise(cfg.up, np.array([d.noise for d in draws]))
-    word_hat = codec.uplink_round(scheme, messages, codes, cfg.up, noise)
+    """Failures, redraws, uplink and downlink events of the trials with ``seeds`` and draws ``u``."""
+    num_users, field, k = scheme.table.num_users, cfg.up.field, scheme.table.lengths.k
+    tail = cfg.n + num_users * cfg.n_dl
+    symbols = codec.uniform_symbols(field, u[:, :-tail])
+    *parts, symbols = np.split(symbols, np.cumsum([k[m] for m in scheme.ids]), axis=1)
+    messages = dict(zip(scheme.ids, parts))
+    codes, redraws = codec.make_block_codes(scheme.table, cfg.n, field, symbols, seeds)
+    noise, uniforms = np.split(u[:, -tail:], [cfg.n], axis=1)
+    word_hat = codec.uplink_round(scheme, messages, codes, cfg.up, sample_uplink_noise(cfg.up, noise))
     uplink = np.any(word_hat != codec.relay_word(scheme, messages), axis=-1)
 
-    keys = np.array([d.key for d in draws])
-    codebook = codec.DownlinkCodebook(np.full(down.input_size, 1 / down.input_size), cfg.n_dl, keys)
+    codebook = codec.DownlinkCodebook(np.full(down.input_size, 1 / down.input_size), cfg.n_dl, seeds)
     x0 = codebook.codeword(word_hat)
-    uniforms = np.array([d.uniforms for d in draws])
-    downlink = failed = np.zeros(len(draws), dtype=bool)
-    for a in range(1, scheme.table.num_users + 1):
+    uniforms = uniforms.reshape(len(seeds), num_users, cfg.n_dl)
+    downlink = failed = np.zeros(len(seeds), dtype=bool)
+    for a in range(1, num_users + 1):
         known = {m: v for m, v in messages.items() if a in m}
         cands = codec.candidate_set(scheme, a, known)
         y_a = sample_downlink(down, a, x0, uniforms[:, a - 1])
@@ -196,19 +165,22 @@ def _decode_trials(
             failed = failed | np.any(v != messages[m], axis=-1)
     if np.any(failed & ~uplink & ~downlink):
         raise RuntimeError("every relay word decoded correctly, yet a message was recovered wrongly")
-    return int(failed.sum()), sum(d.redraws for d in draws), int(uplink.sum()), int(downlink.sum())
+    return int(failed.sum()), redraws, int(uplink.sum()), int(downlink.sum())
 
 
-def _tally(job, trials: int, per_trial: int) -> ErrorStats:
-    """ErrorStats from ``job(chunk) -> (failures, redraws, uplink, downlink)`` over all trials.
+def _tally(job, source, trials: int, width: int, per_trial: int) -> ErrorStats:
+    """ErrorStats from ``job(seeds, u) -> (failures, redraws, uplink, downlink)`` over all trials.
 
-    Trials go to ``job`` in contiguous chunks whose stacked arrays, at
-    ``per_trial`` elements a trial, stay within ``_STACK_BUDGET``.  Each
-    trial draws from its own stream, so the counts do not depend on the
-    chunk size.
+    Trial t's seed is ``rng.seed(key, t)``, key drawn from the stream ``source``, and u
+    its ``width`` uniforms, drawn as many trials at a time as fit in ``_STACK_BUDGET``;
+    ``job`` gets contiguous chunks whose arrays, at ``per_trial`` elements a trial, fit too.
     """
-    size = max(1, _STACK_BUDGET // per_trial)
-    results = [job(range(s, min(s + size, trials))) for s in range(0, trials, size)]
+    key, size = source.integers(0, 2**64, dtype=np.uint64), max(1, _STACK_BUDGET // per_trial)
+    step, results = size * max(1, _STACK_BUDGET // (size * width)), []
+    for start in range(0, trials, step):
+        seeds = rng.seed(key, np.arange(start, min(start + step, trials)))
+        u = rng.uniforms(seeds, width)
+        results += [job(seeds[i : i + size], u[i : i + size]) for i in range(0, len(seeds), size)]
     failures, redraws, uplink, downlink = (sum(col) for col in zip(*results))
     return ErrorStats.from_counts(failures, trials, redraws, uplink, downlink)
 
@@ -222,10 +194,7 @@ def run_trials(cfg: TrialConfig, threads: int = 1) -> ErrorStats:
     if cfg.down.num_users != lengths.num_users:
         raise ValueError("downlink and rate tuple disagree on the user count")
     # Relabel the downlink to match the reindexed users.
-    down = DownlinkSpec(
-        cfg.down.input_size,
-        tuple(cfg.down.channel(old) for old in order),
-    )
+    down = DownlinkSpec(cfg.down.input_size, tuple(cfg.down.channel(old) for old in order))
     # The schedule and the relay map are deterministic in the lengths, so
     # build them once.
     table = build_table(lengths)
@@ -236,11 +205,11 @@ def run_trials(cfg: TrialConfig, threads: int = 1) -> ErrorStats:
         [cfg.up.field.order ** b.width * block_n[b.msg] for b in table.blocks]
         + [user.image.shape[0] * cfg.n_dl for user in scheme.users]
     )
-
-    def job(chunk: range) -> tuple[int, int, int, int]:
-        return _decode_trials(cfg, down, scheme, [_draw_trial(cfg, scheme, t) for t in chunk])
-
-    return _tally(job, cfg.trials, per_trial)
+    code_symbols = sum((b.width + 2) * block_n[b.msg] for b in table.blocks)
+    # The relay map has a row per message symbol.
+    width = scheme.relay.shape[0] + code_symbols + cfg.n + lengths.num_users * cfg.n_dl
+    job = partial(_decode_trials, cfg, down, scheme)
+    return _tally(job, rng.stream(cfg.master_seed, "trial"), cfg.trials, width, per_trial)
 
 
 def at_axis_value(cfg: TrialConfig, axis: str, v) -> TrialConfig:
@@ -279,13 +248,11 @@ def sum_decode_trials(
 ) -> ErrorStats:
     """Relay-side experiment: one uplink block carrying a two-user sum.
 
-    Per trial, ``codec.block_code`` draws a fresh full-rank code with
-    dithers for transmitters 1 and 2 (rank-deficient draws are counted),
-    then two uniform messages and the noise uniforms are drawn, and a
-    failure (an uplink one) is counted when the relay's ML estimate
-    differs from the messages' field sum.  Everything comes from one
-    stream per trial, in that order; chunks of trials go through
-    ``codec.send_block`` as stacks.  ``threads`` has no effect.
+    Trial t draws from ``rng.seed(key, t)``, under the call's run key, two
+    messages, a k-by-n generator and the dithers of transmitters 1 and 2 as
+    uniform symbols, then n noise uniforms.  ``codec.block_code`` redraws
+    rank-deficient generators (counted); a failure, an uplink one, is a relay
+    estimate other than the messages' field sum.  ``threads`` has no effect.
     """
     field = up.field
     for name, value, least in (("n", n, 1), ("k", k, 0), ("trials", trials, 1)):
@@ -294,17 +261,13 @@ def sum_decode_trials(
     if k > n:
         raise ValueError(f"k={k} exceeds n={n}; no full-rank code exists")
 
-    def draw(t: int):
-        rng = stream(master_seed, "sum-decode", t)
-        code, redraws = codec.block_code(field, k, n, (1, 2), rng)
-        u1, u2 = gf.random_vec(field, k, rng), gf.random_vec(field, k, rng)
-        return code, redraws, u1, u2, rng.random(n)
+    def job(seeds: np.ndarray, u: np.ndarray) -> tuple[int, int, int, int]:
+        symbols = codec.uniform_symbols(field, u[:, :-n])
+        u1, u2, s = symbols[:, :k], symbols[:, k : 2 * k], symbols[:, 2 * k :].reshape(len(seeds), k + 2, n)
+        code, redraws = codec.block_code(field, s[:, :k], {1: s[:, k], 2: s[:, k + 1]}, seeds, 0)
+        est = codec.send_block(code, {1: u1, 2: u2}, up, sample_uplink_noise(up, u[:, -n:]))
+        failed = int(np.any(est != field.add(u1, u2), axis=-1).sum())
+        return failed, redraws, failed, 0
 
-    def job(chunk: range) -> tuple[int, int, int, int]:
-        codes, redraws, u1, u2, noise = zip(*[draw(t) for t in chunk])
-        u = {1: np.array(u1), 2: np.array(u2)}
-        est = codec.send_block(_stack_codes(codes, field), u, up, sample_uplink_noise(up, np.array(noise)))
-        failed = int(np.any(est != field.add(u[1], u[2]), axis=-1).sum())
-        return failed, sum(redraws), failed, 0
-
-    return _tally(job, trials, field.order**k * n)
+    width = 2 * k + (k + 3) * n
+    return _tally(job, rng.stream(master_seed, "sum-decode"), trials, width, field.order**k * n)

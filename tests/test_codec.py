@@ -36,8 +36,8 @@ from mwrelay.gf import Field
 from mwrelay.rng import stream
 from mwrelay.schedule import SymbolLengths, build_table, message_ids, reindex_users
 from mwrelay.shuffle import decode_matrix, run_shuffle, simplify
-from mwrelay.sim import _stack_codes
 from test_channel import oracle_laws, ref_inverse_cdf
+from test_rng import GAMMA, MASK, ref_seed, ref_uniforms, splitmix
 
 
 def all_vectors(order, k):
@@ -174,22 +174,48 @@ def ref_encode(field, u, g, dither):
     return word
 
 
+def unstacked(code, i):
+    """Trial i's code of a stack, built by hand: its span is computed on first use."""
+    return BlockCode(code.k, code.n, code.generator[i], {t: q[i] for t, q in code.dithers.items()})
+
+
+def drawn_stack(field, trials, k, n, rng, transmitters=()):
+    """A stack of codes drawn through ``block_code``, and each trial's code."""
+    g = rng.integers(0, field.order, (trials, k, n))
+    dithers = {t: rng.integers(0, field.order, (trials, n)) for t in transmitters}
+    stacked, _ = block_code(field, g, dithers, rng.integers(0, 2**64, trials, dtype=np.uint64), 0)
+    return stacked, [unstacked(stacked, i) for i in range(trials)]
+
+
+def drawn_codes(table, n, field, rng, trials=1):
+    """``make_block_codes`` on symbols and seeds from ``rng``: the stacks, and each trial's codes."""
+    lengths = allocate_block_lengths(table, n)
+    width = sum((b.width + 2) * lengths[b.msg] for b in table.blocks)
+    symbols = rng.integers(0, field.order, (trials, width))
+    codes, _ = make_block_codes(table, n, field, symbols, rng.integers(0, 2**64, trials, dtype=np.uint64))
+    return codes, [{b: unstacked(c, i) for b, c in codes.items()} for i in range(trials)]
+
+
 @pytest.mark.parametrize("order", [2, 3, 4, 8, 9])
 def test_encode_uplink_matches_a_row_loop(order):
     field = Field(order)
     rng = stream(8, "enc-oracle", order)
     for k, n in ((0, 3), (1, 4), (3, 5)):
-        drawn = [block_code(field, k, n, (2, 1), rng)[0] for _ in range(3)]
+        drawn, singles = drawn_stack(field, 3, k, n, rng, (2, 1))
         # A hand-built code may be rank deficient and computes its span on first use.
-        codes = drawn + [BlockCode(k, n, gf.random_matrix(field, k, n, rng), drawn[0].dithers)]
+        codes = singles + [BlockCode(k, n, gf.random_matrix(field, k, n, rng), singles[0].dithers)]
         us = gf.random_matrix(field, len(codes), k, rng)
-        # Stacked before any call computes the hand-built code's span.
-        stacked = _stack_codes(codes, field)
+        # A hand-built stack, whose span no call has computed yet.
+        stacked = BlockCode(
+            k, n, np.array([c.generator for c in codes]),
+            {t: np.array([c.dithers[t] for c in codes]) for t in (2, 1)},
+        )
         for t in (2, 1):
             want = [ref_encode(field, u, c.generator, c.dithers[t]) for u, c in zip(us, codes)]
             for u, c, w in zip(us, codes, want):
                 assert encode_uplink(u, c, t, field).tolist() == w
             assert encode_uplink(us, stacked, t, field).tolist() == want
+            assert encode_uplink(us[:3], drawn, t, field).tolist() == want[:3]
 
 
 def test_encode_round_trip_with_dither():
@@ -359,10 +385,10 @@ def test_relay_law_index_scores_equal_the_offset_table(order):
     for pmf in pmfs:
         up = UplinkSpec(field, pmf)
         for k, n, trials in ((1, 3, 1), (2, 5, 1), (3, 7, 4), (2, 12, 3)):
-            codes = [BlockCode(k, n, gf.random_matrix(field, k, n, rng), {}) for _ in range(trials)]
+            drawn, codes = drawn_stack(field, trials, k, n, rng)
             y0 = rng.integers(0, order, (trials, n))
             dither = rng.integers(0, order, (trials, n))
-            stacked = relay_decode_sum(y0, _stack_codes(codes, field), dither, up)
+            stacked = relay_decode_sum(y0, drawn, dither, up)
             for t, code in enumerate(codes):
                 want, _ = brute_force_sum_decode(field, y0[t], code.generator, dither[t], pmf)
                 single = relay_decode_sum(y0[t], code, dither[t], up)
@@ -381,10 +407,10 @@ def test_relay_decode_breaks_ties_between_compositions_exactly():
     rng = stream(17, "composition-ties")
     tied = 0
     for _ in range(40):
-        codes = [BlockCode(4, 9, gf.random_matrix(field, 4, 9, rng), {}) for _ in range(4)]
+        drawn, codes = drawn_stack(field, 4, 4, 9, rng)
         y0 = rng.integers(0, 4, (4, 9))
         dither = rng.integers(0, 4, (4, 9))
-        stacked = relay_decode_sum(y0, _stack_codes(codes, field), dither, up)
+        stacked = relay_decode_sum(y0, drawn, dither, up)
         for t, code in enumerate(codes):
             want, winners = brute_force_sum_decode(
                 field, y0[t], code.generator, dither[t], up.noise_pmf
@@ -446,31 +472,37 @@ def test_relay_decode_capability_bound():
         relay_decode_sum(np.zeros(30, dtype=np.int64), BlockCode(21, 30, g, {}), np.zeros(30, dtype=np.int64), up)
 
 
-def test_block_code_rank_test_matches_gf_rank(monkeypatch):
-    # block_code redraws a generator exactly when gf.rank finds it deficient;
-    # a third of the draws are forced deficient by a zero, repeated or scaled row.
+def ref_redrawn(field, g, key, label):
+    """A generator and its redraw count by gf.rank, redraws hashed in Python integers."""
+    k, n = g.shape
+    attempt, uniform = 0, [1 / field.order] * field.order
+    while gf.rank(field, g) < k:
+        attempt += 1
+        u = ref_uniforms(ref_seed(key, label, attempt), k * n)
+        g = np.array([ref_inverse_cdf(uniform, x) for x in u]).reshape(k, n)
+    return g, attempt
+
+
+def test_block_code_rank_test_matches_gf_rank():
+    # block_code redraws a generator exactly when gf.rank finds it deficient,
+    # and only that trial, from its seed under (label, attempt); a third of the
+    # draws are forced deficient by a zero, repeated or scaled row.
     rng = stream(53, "full-rank")
-    drawn = []
-
-    def next_generator(field, k, n, _rng):
-        return drawn.pop(0)
-
-    monkeypatch.setattr(gf, "random_matrix", next_generator)
     deficient = 0
-    for i in range(1200):
+    for i in range(60):
         field = Field([2, 3, 4, 5, 8, 9][i % 6])
         k = int(rng.integers(1, 5))
         n = k + int(rng.integers(0, 3))
-        g = rng.integers(0, field.order, size=(k, n))
-        if k > 1 and i % 3 == 0:
+        g = rng.integers(0, field.order, size=(20, k, n))
+        for t in range(0, 20, 3) if k > 1 else ():
             a, b = rng.choice(k, size=2, replace=False)
-            g[a] = [0, g[b], field.mul(int(rng.integers(0, field.order)), g[b])][i % 9 // 3]
-        full = np.eye(k, n, dtype=np.int64)
-        drawn[:] = [g, full]
-        code, redraws = block_code(field, k, n, (), None)
-        assert redraws == (gf.rank(field, g) < k), (field, g.tolist())
-        assert np.array_equal(code.generator, g if redraws == 0 else full)
-        deficient += redraws
+            g[t, a] = [0, g[t, b], field.mul(int(rng.integers(0, field.order)), g[t, b])][t % 9 // 3]
+        seeds = rng.integers(0, 2**64, 20, dtype=np.uint64)
+        code, redraws = block_code(field, g, {}, seeds, i)
+        want = [ref_redrawn(field, g[t], int(seeds[t]), i) for t in range(20)]
+        assert np.array_equal(code.generator, [w for w, _ in want]), (field, g.tolist())
+        assert redraws == sum(r for _, r in want)
+        deficient += sum(r > 0 for _, r in want)
     assert 400 <= deficient < 1200
 
 
@@ -497,7 +529,7 @@ def test_uplink_round_zero_noise_recovers_relay_word():
         if t.total_cols == 0:
             continue
         msgs = random_messages(field, lengths, rng)
-        codes, _ = make_block_codes(t, 2 * t.total_cols, field, rng)
+        codes = drawn_codes(t, 2 * t.total_cols, field, rng)[1][0]
         noise = sample_uplink_noise(up, rng.random(sum(c.n for c in codes.values())))
         est = uplink_round(scheme, msgs, codes, up, noise)
         assert np.array_equal(est, relay_word(scheme, msgs))
@@ -510,7 +542,7 @@ def test_uplink_round_l2_single_block():
     lengths = SymbolLengths(2, {(1,): 1, (2,): 1})
     t, cols, scheme = compiled(field, lengths)
     msgs = {(1,): np.array([1]), (2,): np.array([1]), (1, 2): np.zeros(0, dtype=np.int64)}
-    codes, _ = make_block_codes(t, 2, field, stream(8, "l2"))
+    codes = drawn_codes(t, 2, field, stream(8, "l2"))[1][0]
     est = uplink_round(scheme, msgs, codes, up, sample_uplink_noise(up, stream(8, "l2n").random(2)))
     assert np.array_equal(est, field.add(msgs[(1,)], msgs[(2,)]))
     assert block_owner((2,)) == 2
@@ -670,7 +702,7 @@ def test_compile_scheme_keeps_no_table_of_enumerated_vectors():
         tracemalloc.stop()
     assert scheme.users[0].image.shape == (2**20, 20)
     assert held < 24 * 2**20
-    assert peak <= 2 * held
+    assert peak <= 1.6 * held
 
 
 def test_codebook_lazy_and_deterministic():
@@ -828,7 +860,7 @@ def test_dither_invariance_of_zero_noise_result():
     msgs = random_messages(field, lengths, stream(8, "dm"))
     outs = []
     for seed in (1, 2, 3):
-        codes, _ = make_block_codes(t, 2 * t.total_cols, field, stream(seed, "dith"))
+        codes = drawn_codes(t, 2 * t.total_cols, field, stream(seed, "dith"))[1][0]
         noise = sample_uplink_noise(up, stream(seed, "n").random(2 * t.total_cols))
         outs.append(uplink_round(scheme, msgs, codes, up, noise))
     assert all(np.array_equal(o, outs[0]) for o in outs)
@@ -910,8 +942,7 @@ def test_codeword_symbol_frequencies_follow_a_nonuniform_input_dist():
 def test_shared_arrays_are_read_only():
     field = Field(3)
     _, _, scheme = compiled(field, lengths_l3())
-    drawn, _ = block_code(Field(9), 2, 4, (1,), stream(8, "span"))
-    by_hand = BlockCode(2, 4, drawn.generator, {})
+    drawn, (by_hand,) = drawn_stack(Field(9), 1, 2, 4, stream(8, "span"), (1,))
     shared = [drawn.words, by_hand.span(Field(9)), scheme.relay, scheme.func]
     for user in scheme.users:
         shared += [user.image, user.r_known]
@@ -935,16 +966,11 @@ def test_stacked_calls_equal_per_trial_calls():
         t, cols, scheme = compiled(field, lengths_l3())
         rng = stream(8, "stacked", order)
         msgs = [random_messages(field, lengths_l3(), rng) for _ in range(trials)]
-        codes = [make_block_codes(t, 2 * t.total_cols, field, rng)[0] for _ in range(trials)]
+        stacked_codes, codes = drawn_codes(t, 2 * t.total_cols, field, rng, trials)
         noise = [sample_uplink_noise(up, rng.random(2 * t.total_cols)) for _ in range(trials)]
         keys = rng.integers(0, 2**64, size=trials, dtype=np.uint64)
         uniforms = rng.random((trials, 6))
         stacked = {m: np.stack([mm[m] for mm in msgs]) for m in msgs[0]}
-        stacked_codes = {
-            b: BlockCode(c.k, c.n, np.stack([cc[b].generator for cc in codes]),
-                         {s: np.stack([cc[b].dithers[s] for cc in codes]) for s in c.dithers})
-            for b, c in codes[0].items()
-        }
         words = uplink_round(scheme, stacked, stacked_codes, up, np.stack(noise))
         cb = DownlinkCodebook(np.array([0.5, 0.5]), 6, keys)
         x0 = cb.codeword(words)
@@ -975,16 +1001,8 @@ def test_stacked_calls_equal_per_trial_calls():
 
 def ref_draws(n_dl, key, word):
     """The documented codebook hash in Python integers: position t's uniform m 2^-53."""
-    mask, gamma = 2**64 - 1, 0x9E3779B97F4A7C15
-
-    def splitmix(z):
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & mask
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
-        return z ^ (z >> 31)
-
-    mult = [splitmix((key + gamma * (j + 1)) & mask) | 1 for j in range(len(word))]
-    seed = splitmix((key + sum((int(w) + 1) * m for w, m in zip(word, mult))) & mask)
-    return [(splitmix((seed + gamma * (t + 1)) & mask) >> 11) * 2.0**-53 for t in range(n_dl)]
+    mult = [splitmix((key + GAMMA * (j + 1)) & MASK) | 1 for j in range(len(word))]
+    return ref_uniforms(splitmix((key + sum((int(w) + 1) * m for w, m in zip(word, mult))) & MASK), n_dl)
 
 
 def ref_codeword(dist, n_dl, key, word):

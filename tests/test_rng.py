@@ -1,7 +1,26 @@
 import numpy as np
 import pytest
 
-from mwrelay.rng import stream
+from mwrelay.rng import seed, stream, uniforms
+
+MASK, GAMMA = 2**64 - 1, 0x9E3779B97F4A7C15
+
+
+def splitmix(z):
+    """SplitMix64's output function in Python integers."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK
+    return z ^ (z >> 31)
+
+
+def ref_seed(key, *labels):
+    for c in labels:
+        key = splitmix((key + GAMMA * (c + 1)) & MASK)
+    return key
+
+
+def ref_uniforms(s, count):
+    return [(splitmix((s + GAMMA * (j + 1)) & MASK) >> 11) * 2.0**-53 for j in range(count)]
 
 
 def philox(seed, *key):
@@ -26,3 +45,19 @@ def test_wide_or_negative_path_integers_are_rejected():
 def test_distinct_paths_give_distinct_streams():
     draws = {stream(1, *p).random(4).tobytes() for p in ((5,), (5, 0), (0, 5), ("a",), ("a", 5))}
     assert len(draws) == 5
+
+
+def test_seed_and_uniforms_match_splitmix64_in_python_integers():
+    # Under numpy < 2 a uint64 scalar mixed with a Python int turns into
+    # float64; these values would then be off in their low bits.
+    key, trials = 2**64 - 59, [0, 1, 9, 2**40, 2**63 + 5]
+    seeds = seed(np.uint64(key), np.array(trials, dtype=np.uint64))
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [ref_seed(key, t) for t in trials]
+    assert seed(seeds, 3, 2**64 - 1).tolist() == [ref_seed(key, t, 3, 2**64 - 1) for t in trials]
+    assert seed(key, 7, 3).tolist() == [ref_seed(key, 7, 3)]
+    got = uniforms(seeds, 6)
+    assert got.shape == (5, 6) and got.dtype == np.float64
+    assert got.tolist() == [ref_uniforms(ref_seed(key, t), 6) for t in trials]
+    assert uniforms(seeds[:2], 0).shape == (2, 0)
+    assert np.all((0 <= got) & (got < 1))

@@ -25,6 +25,9 @@ from mwrelay.sim import (
     sweep,
     wilson_interval,
 )
+from test_channel import ref_inverse_cdf
+from test_codec import ref_redrawn
+from test_rng import ref_seed, ref_uniforms
 
 
 def zero_noise_cfg(trials=40, seed=5) -> TrialConfig:
@@ -187,34 +190,33 @@ def test_sum_decode_threads_reproducible():
 @pytest.mark.parametrize(
     "order, pmf, k, n, failures, redraws",
     [
-        (2, [0.9, 0.1], 6, 7, 20, 25),
-        (3, [0.8, 0.1, 0.1], 4, 5, 26, 3),
+        (2, [0.9, 0.1], 6, 7, 19, 30),
+        (3, [0.8, 0.1, 0.1], 4, 5, 22, 7),
         (4, [0.8, 0.1, 0.05, 0.05], 6, 16, 4, 0),
     ],
 )
 def test_sum_decode_realizations_are_pinned(order, pmf, k, n, failures, redraws, threads):
-    # Seed 7, 40 trials: the draws of codes, dithers, messages and noise
-    # must not move when the uplink block path is refactored.  The GF(2)
-    # count is 20 since ties are broken exactly; summed float logs gave 19.
+    # Seed 7, 40 trials: the draws of messages, codes, dithers and noise
+    # must not move when the uplink block path is refactored.
     st = sum_decode_trials(UplinkSpec(Field(order), np.array(pmf)), k, n, 40, 7, threads=threads)
     assert (st.failures, st.redraws) == (failures, redraws)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_each_trial_draws_from_one_stream(monkeypatch, threads):
-    # Every draw of a trial comes from one generator keyed by its index.
+    # A call takes its one run key from one stream; every trial's draws hash that key.
     paths = []
 
     def counting_stream(*path):
         paths.append(path)
         return stream(*path)
 
-    monkeypatch.setattr(sim, "stream", counting_stream)
+    monkeypatch.setattr(sim.rng, "stream", counting_stream)
     run_trials(zero_noise_cfg(trials=12), threads=threads)
-    assert sorted(p[-1] for p in paths) == list(range(12))
+    assert paths == [(5, "trial")]
     paths.clear()
     sum_decode_trials(UplinkSpec(Field(2), np.array([0.9, 0.1])), 4, 8, 9, 3, threads=threads)
-    assert sorted(p[-1] for p in paths) == list(range(9))
+    assert paths == [(3, "sum-decode")]
 
 
 def test_noisy_uplink_errors_decrease_with_n():
@@ -314,32 +316,51 @@ def test_end_to_end_noisy_uplink_runs():
 # -- the trial-batched engine against the per-trial loop ---------------------------
 
 
-def ref_run_trial(cfg: TrialConfig, down, scheme, t: int) -> tuple[bool, int, bool, bool]:
-    """One trial drawn and decoded alone, the loop the batched engine replaced.
+def ref_symbols(field, u) -> np.ndarray:
+    """Uniform field symbols from uniforms, by the inverse-CDF oracle on the uniform law."""
+    return np.array([ref_inverse_cdf([1 / field.order] * field.order, x) for x in u], dtype=np.int64)
 
-    Returns (failed, redraws, uplink event, downlink event); every user is
-    decoded, so the events are complete.
+
+def ref_run_trial(cfg: TrialConfig, down, scheme, key: int, t: int) -> tuple[bool, int, bool, bool]:
+    """One trial drawn in Python integers and decoded alone, the loop the batched engine replaced.
+
+    Trial t's uniforms, from seed(key, t), are its messages, per block the
+    generator and the owner's and user 1's dithers, n noise uniforms and
+    users 1..L's downlink uniforms.  Returns (failed, redraws, uplink event,
+    downlink event); every user is decoded, so the events are complete.
     """
-    field = cfg.up.field
-    lengths = scheme.table.lengths
-    rng = stream(cfg.master_seed, "trial", t)
-    messages = {m: gf.random_vec(field, lengths.k[m], rng) for m in scheme.ids}
-    codes, redraws = codec.make_block_codes(scheme.table, cfg.n, field, rng)
-    noise = sample_uplink_noise(cfg.up, rng.random(sum(c.n for c in codes.values())))
+    field, table = cfg.up.field, scheme.table
+    lengths, block_n = table.lengths, codec.allocate_block_lengths(table, cfg.n)
+    s = ref_seed(key, t)
+    code_symbols = sum((b.width + 2) * block_n[b.msg] for b in table.blocks)
+    width = sum(lengths.k[m] for m in scheme.ids) + code_symbols + cfg.n + lengths.num_users * cfg.n_dl
+    u = iter(ref_uniforms(s, width))
+
+    def take(count):
+        return [next(u) for _ in range(count)]
+
+    messages = {m: ref_symbols(field, take(lengths.k[m])) for m in scheme.ids}
+    codes, redraws = {}, 0
+    for i, b in enumerate(table.blocks):
+        k, n = b.width, block_n[b.msg]
+        g, r = ref_redrawn(field, ref_symbols(field, take(k * n)).reshape(k, n), s, i)
+        dithers = {codec.block_owner(b.msg): ref_symbols(field, take(n)), 1: ref_symbols(field, take(n))}
+        codes[b.msg], redraws = codec.BlockCode(k, n, g, dithers), redraws + r
+    noise = sample_uplink_noise(cfg.up, np.array(take(cfg.n)))
     word_hat = codec.uplink_round(scheme, messages, codes, cfg.up, noise)
-    key = rng.integers(0, 2**64, dtype=np.uint64)
-    codebook = codec.DownlinkCodebook(np.full(down.input_size, 1 / down.input_size), cfg.n_dl, key)
+    codebook = codec.DownlinkCodebook(np.full(down.input_size, 1 / down.input_size), cfg.n_dl, s)
     x0 = codebook.codeword(word_hat)
     failed = downlink = False
     for a in range(1, lengths.num_users + 1):
         known = {m: v for m, v in messages.items() if a in m}
         cands = codec.candidate_set(scheme, a, known)
-        y_a = sample_downlink(down, a, x0, rng.random(x0.shape))
+        y_a = sample_downlink(down, a, x0, np.array(take(cfg.n_dl)))
         row = codec.user_decode_word(y_a, codebook, cands, down, a)
         downlink |= not np.array_equal(cands.words[row], word_hat)
         recovered = codec.recover_messages(scheme, a, cands, row)
         failed |= any(not np.array_equal(v, messages[m]) for m, v in recovered.items())
     uplink = not np.array_equal(word_hat, codec.relay_word(scheme, messages))
+    assert next(u, None) is None  # every uniform of the layout was read
     return failed, redraws, uplink, downlink
 
 
@@ -349,7 +370,31 @@ def ref_trials(cfg: TrialConfig) -> list[tuple[bool, int, bool, bool]]:
     table = build_table(lengths)
     cols, _ = run_shuffle(simplify(table))
     scheme = codec.compile_scheme(cfg.up.field, table, cols)
-    return [ref_run_trial(cfg, down, scheme, t) for t in range(cfg.trials)]
+    key = int(stream(cfg.master_seed, "trial").integers(0, 2**64, dtype=np.uint64))
+    return [ref_run_trial(cfg, down, scheme, key, t) for t in range(cfg.trials)]
+
+
+def ref_sum_decode(up: UplinkSpec, k: int, n: int, trials: int, master_seed: int) -> tuple[int, int]:
+    """sum_decode_trials one trial at a time, every draw in Python integers: (failures, redraws).
+
+    Trial t's uniforms, from seed(key, t), are the two messages, the
+    generator, the dithers of transmitters 1 and 2, then n noise uniforms.
+    """
+    field = up.field
+    key = int(stream(master_seed, "sum-decode").integers(0, 2**64, dtype=np.uint64))
+    failures = redraws = 0
+    for t in range(trials):
+        s = ref_seed(key, t)
+        u = ref_uniforms(s, (k + 3) * n + 2 * k)
+        symbols = ref_symbols(field, u[: -n])
+        u1, u2, g = symbols[:k], symbols[k : 2 * k], symbols[2 * k : (n + 2) * k].reshape(k, n)
+        g, r = ref_redrawn(field, g, s, 0)
+        dithers = {1: symbols[(n + 2) * k : (n + 2) * k + n], 2: symbols[(n + 2) * k + n :]}
+        noise = sample_uplink_noise(up, np.array(u[-n:]))
+        est = codec.send_block(codec.BlockCode(k, n, g, dithers), {1: u1, 2: u2}, up, noise)
+        failures += not np.array_equal(est, field.add(u1, u2))
+        redraws += r
+    return failures, redraws
 
 
 def counts(st: ErrorStats) -> tuple[int, int, int, int]:
@@ -438,27 +483,43 @@ def test_the_block_path_needs_no_product_and_no_rank(monkeypatch):
 @pytest.mark.parametrize("chunk, sizes", [(1, [1] * 20), (3, [3] * 6 + [2])])
 def test_chunk_size_does_not_change_the_counts(monkeypatch, chunk, sizes):
     cfg = oracle_cfg(2, 3, 24, 8, 0.2, trials=20)
-    want = counts(run_trials(cfg))
-    seen, chunks = [], []
-    tally, decode = sim._tally, sim._decode_trials
+    up = UplinkSpec(Field(2), np.array([0.9, 0.1]))
+    budget, chunks = [], []
+    tally = sim._tally
 
-    def spy_tally(job, trials, per_trial):
-        seen.append(per_trial)
-        return tally(job, trials, per_trial)
+    def spy_tally(job, source, trials, width, per_trial):
+        if budget:
+            monkeypatch.setattr(sim, "_STACK_BUDGET", budget[0] * per_trial)
 
-    def spy_decode(cfg, down, scheme, draws):
-        chunks.append(len(draws))
-        return decode(cfg, down, scheme, draws)
+        def spy_job(seeds, u):
+            chunks.append(len(seeds))
+            return job(seeds, u)
+
+        return tally(spy_job, source, trials, width, per_trial)
+
+    def results(threads=1):
+        relay = sum_decode_trials(up, 4, 8, 20, 7, threads=threads)
+        return counts(run_trials(cfg, threads=threads)), counts(relay)
 
     monkeypatch.setattr(sim, "_tally", spy_tally)
-    monkeypatch.setattr(sim, "_decode_trials", spy_decode)
-    run_trials(cfg)
-    monkeypatch.setattr(sim, "_STACK_BUDGET", chunk * seen[0])
+    want = results()
+    assert chunks == [20, 20]  # the default budget takes each call's trials in one chunk
+    budget.append(chunk)
     chunks.clear()
     for threads in (1, 2):
-        assert counts(run_trials(cfg, threads=threads)) == want
+        assert results(threads) == want
     # 20 trials in chunks of 3 leave an uneven last chunk of 2.
-    assert sorted(chunks) == sorted(sizes * 2)
+    assert sorted(chunks) == sorted(sizes * 4)
+
+
+@pytest.mark.parametrize(
+    "order, pmf, k, n",
+    [(2, [0.9, 0.1], 6, 7), (3, [0.8, 0.1, 0.1], 4, 5), (4, [0.8, 0.1, 0.05, 0.05], 6, 16)],
+)
+def test_sum_decode_matches_a_per_trial_loop_in_python_integers(order, pmf, k, n):
+    up = UplinkSpec(Field(order), np.array(pmf))
+    st = sum_decode_trials(up, k, n, 40, 7)
+    assert (st.failures, st.redraws) == ref_sum_decode(up, k, n, 40, 7)
 
 
 def test_no_thread_starts_whatever_thread_count_is_passed(monkeypatch):
