@@ -34,7 +34,7 @@ from .codec import (
     uplink_round,
     user_decode_word,
 )
-from .gf import Field, LinearSolution, mat_mul, random_matrix, random_vec, rank, solve_linear
+from .gf import Field, LinearSolution, mat_mul, random_matrix, rank, solve_linear
 from .rng import stream
 from .schedule import (
     MessageRef,

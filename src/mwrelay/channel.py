@@ -46,6 +46,7 @@ class UplinkSpec:
         self.noise_pmf = validate_pmf(self.noise_pmf, "noise_pmf")
         if self.noise_pmf.shape != (self.field.order,):
             raise ValueError(f"noise pmf shape {self.noise_pmf.shape} is not ({self.field.order},)")
+        self._steps = cdf_steps(self.noise_pmf)
 
 
 @dataclass
@@ -155,7 +156,7 @@ def most_likely(law: np.ndarray, index: np.ndarray) -> int | np.ndarray:
 
 def sample_uplink_noise(up: UplinkSpec, u: np.ndarray) -> np.ndarray:
     """The noise symbols the drawn uniforms ``u`` in [0, 1) select, shaped like ``u``."""
-    return inverse_cdf(cdf_steps(up.noise_pmf), u)
+    return inverse_cdf(up._steps, u)
 
 
 def sample_downlink(down: DownlinkSpec, a: int, x0: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -16,8 +16,10 @@ keep the index of a ``gf.span`` row, and ``gf.span_vectors`` turns it into digit
 Downlink: the relay indexes a counter-based random codebook by the
 concatenated decoded sums and broadcasts the selected word; each user
 restricts attention to the sum vectors consistent with its own
-messages, decodes a candidate row by exact maximum likelihood, and reads
-the messages it lacks from that row's witness.
+messages, kept in span order, and decodes a candidate row by exact
+maximum likelihood.  The row is the witness: row j is the word of the
+unknown messages' assignment with big-endian index j.  Ties go to the
+first span row, as at the relay.
 """
 
 from __future__ import annotations
@@ -320,23 +322,19 @@ def uplink_round(
 class CandidateSet:
     """Distinct relay words consistent with one user's prior messages.
 
-    ``words`` rows are sorted lexicographically (equal to ascending
-    big-endian integer index); (T, C, N) for stacked messages.
-    ``witnesses[..., i]`` is the big-endian index of the unknown messages'
-    assignment whose word is row i.
+    ``words`` is (C, N), or (T, C, N) for stacked messages, in span order:
+    row j is the word of the unknown messages' assignment with big-endian
+    index j, so a row is its own witness.
     """
 
     words: np.ndarray
-    witnesses: np.ndarray
 
 
 def candidate_set(scheme: Scheme, a: int, known: Messages) -> CandidateSet:
     """The relay words user ``a`` cannot rule out a priori: u0 = known R_known plus its image."""
     user = scheme.users[a - 1]
     u0 = gf.mat_mul(scheme.field, _symbols(known, user.known), user.r_known)
-    words = scheme.field.add(user.image, u0[..., None, :])
-    order = np.argsort(gf.span_index(scheme.field, words), axis=-1)
-    return CandidateSet(np.take_along_axis(words, order[..., None], axis=-2), order)
+    return CandidateSet(scheme.field.add(user.image, u0[..., None, :]))
 
 
 class DownlinkCodebook:
@@ -384,9 +382,10 @@ def user_decode_word(
     down: DownlinkSpec,
     a: int,
 ) -> int | np.ndarray:
-    """The candidate row exact ML picks, by joint type with ``y_a``; ties to the first.
+    """The candidate row exact ML picks, by joint type with ``y_a``.
 
-    An int, or a (T,) array of rows for stacked candidates.
+    Ties go to the first span row, the smallest assignment index, as at the
+    relay.  An int, or a (T,) array of rows for stacked candidates.
     """
     if codebook.input_dist.size > down.input_size:
         raise ValueError("codebook alphabet exceeds the downlink input alphabet")
@@ -397,12 +396,9 @@ def user_decode_word(
     return most_likely(w.ravel(), index)
 
 
-def recover_messages(
-    scheme: Scheme, a: int, candidates: CandidateSet, row: int | np.ndarray
-) -> Messages:
-    """The messages user ``a`` lacks, read from the witness of the decoded candidate ``row``."""
+def recover_messages(scheme: Scheme, a: int, row: int | np.ndarray) -> Messages:
+    """The messages user ``a`` lacks: the digits of its decoded candidate ``row``, per message."""
     user = scheme.users[a - 1]
-    witness = np.take_along_axis(candidates.witnesses, np.asarray(row)[..., None], axis=-1)[..., 0]
     k = [scheme.table.lengths.k[m] for m in user.unknown]
-    digits = gf.span_vectors(scheme.field, witness, sum(k))
+    digits = gf.span_vectors(scheme.field, row, sum(k))
     return {m: digits[..., end - w : end] for m, w, end in zip(user.unknown, k, accumulate(k))}

@@ -367,7 +367,3 @@ def solve_linear(field: Field, a: np.ndarray, b: np.ndarray) -> LinearSolution:
 def random_matrix(field: Field, rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Matrix with i.i.d. uniform field entries drawn from ``rng``."""
     return rng.integers(0, field.order, size=(rows, cols), dtype=np.int64)
-
-
-def random_vec(field: Field, n: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.integers(0, field.order, size=n, dtype=np.int64)

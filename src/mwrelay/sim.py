@@ -161,7 +161,7 @@ def _decode_trials(
         row = codec.user_decode_word(y_a, codebook, cands, down, a)
         word_a = np.take_along_axis(cands.words, row[:, None, None], axis=-2)[:, 0]
         downlink = downlink | np.any(word_a != word_hat, axis=-1)
-        for m, v in codec.recover_messages(scheme, a, cands, row).items():
+        for m, v in codec.recover_messages(scheme, a, row).items():
             failed = failed | np.any(v != messages[m], axis=-1)
     if np.any(failed & ~uplink & ~downlink):
         raise RuntimeError("every relay word decoded correctly, yet a message was recovered wrongly")

@@ -147,7 +147,8 @@ def ref_user_decode(y_a, codebook, words, w):
 
 
 def random_messages(field, lengths, rng):
-    return {m: gf.random_vec(field, lengths.k[m], rng) for m in message_ids(lengths.num_users)}
+    ids = message_ids(lengths.num_users)
+    return {m: gf.random_matrix(field, 1, lengths.k[m], rng)[0] for m in ids}
 
 
 def test_encode_uplink_basics():
@@ -228,8 +229,8 @@ def test_encode_round_trip_with_dither():
             g = gf.random_matrix(field, k, n, rng)
             if gf.rank(field, g) < k:
                 continue
-            q = gf.random_vec(field, n, rng)
-            u = gf.random_vec(field, k, rng)
+            q = gf.random_matrix(field, 1, n, rng)[0]
+            u = gf.random_matrix(field, 1, k, rng)[0]
             code = BlockCode(k, n, g, {1: q})
             x = encode_uplink(u, code, 1, field)
             sol = gf.solve_linear(field, g.T, field.sub(x, q))
@@ -301,8 +302,8 @@ def test_relay_decode_zero_noise_exact():
         g = gf.random_matrix(field, 2, 4, rng)
         if gf.rank(field, g) < 2:
             continue
-        q = gf.random_vec(field, 4, rng)
-        s = gf.random_vec(field, 2, rng)
+        q = gf.random_matrix(field, 1, 4, rng)[0]
+        s = gf.random_matrix(field, 1, 2, rng)[0]
         y0 = field.add(gf.mat_mul(field, s, g), q)
         est = relay_decode_sum(y0, BlockCode(2, 4, g, {}), q, up)
         assert np.array_equal(est, s)
@@ -361,8 +362,8 @@ def test_relay_decode_agrees_with_brute_force_oracle():
         for _ in range(draws):
             n = 4
             g = gf.random_matrix(field, k, n, rng)
-            q = gf.random_vec(field, n, rng)
-            u = gf.random_vec(field, k, rng)
+            q = gf.random_matrix(field, 1, n, rng)[0]
+            u = gf.random_matrix(field, 1, k, rng)[0]
             noise = sample_uplink_noise(up, rng.random(n))
             y0 = field.add(field.add(gf.mat_mul(field, u, g), q), noise)
             est = relay_decode_sum(y0, BlockCode(k, n, g, {}), q, up)
@@ -591,6 +592,24 @@ def row_of(cand, word):
 
 
 def test_candidate_set_matches_brute_force_and_bound():
+    # Row j of a candidate set is the word of the unknown messages' assignment
+    # with big-endian index j, through the per-column relay map, row for row.
+    def check(field, lengths, msgs, t, cols, scheme):
+        for a in range(1, lengths.num_users + 1):
+            known = {m: v for m, v in msgs.items() if a in m}
+            cand = candidate_set(scheme, a, known)
+            oracle = brute_force_words(field, a, known, t, cols)
+            assert [tuple(w) for w in cand.words.tolist()] == oracle
+            assert cand.words.shape[0] <= field.order ** lengths.k_sums()[a - 1]
+            # rows recover the assignments of their words
+            for i in range(cand.words.shape[0]):
+                witness = {**known, **recover_messages(scheme, a, i)}
+                w = ref_relay_word(field, witness, t, cols)
+                assert np.array_equal(w, cand.words[i])
+            # true word is always a candidate
+            truth = ref_relay_word(field, msgs, t, cols)
+            assert any(np.array_equal(truth, w) for w in cand.words)
+
     rng = stream(8, "cand")
     for order in (2, 3):
         field = Field(order)
@@ -598,28 +617,7 @@ def test_candidate_set_matches_brute_force_and_bound():
             lengths = SymbolLengths(3, {m: int(rng.integers(0, 2)) for m in message_ids(3)})
             _, lengths = reindex_users(lengths)
             t, cols, scheme = compiled(field, lengths)
-            msgs = random_messages(field, lengths, rng)
-            for a in (1, 2, 3):
-                known = {m: v for m, v in msgs.items() if a in m}
-                cand = candidate_set(scheme, a, known)
-                oracle = set(brute_force_words(field, a, known, t, cols))
-                assert {tuple(w.tolist()) for w in cand.words} == oracle
-                # ascending big-endian order, the ML tie-break order
-                assert [tuple(w) for w in cand.words.tolist()] == sorted(oracle)
-                assert cand.words.shape[0] <= field.order ** lengths.k_sums()[a - 1]
-                # witnesses reproduce their words
-                for i in range(cand.words.shape[0]):
-                    witness = {**known, **recover_messages(scheme, a, cand, i)}
-                    w = ref_relay_word(field, witness, t, cols)
-                    assert np.array_equal(w, cand.words[i])
-                # true word is always a candidate
-                truth = ref_relay_word(field, msgs, t, cols)
-                assert any(np.array_equal(truth, w) for w in cand.words)
-
-
-def test_candidate_witnesses_index_the_assignments_of_their_words():
-    # Witness j of a row is the big-endian index of an assignment of the unknown
-    # messages; assignment j through the per-column relay map gives the row's word.
+            check(field, lengths, random_messages(field, lengths, rng), t, cols, scheme)
     rng = stream(8, "witness")
     for order in (2, 3, 4):
         field = Field(order)
@@ -633,14 +631,7 @@ def test_candidate_witnesses_index_the_assignments_of_their_words():
             if order ** max(lengths.k_sums()) > 256:
                 continue
             t, cols, scheme = compiled(field, lengths)
-            msgs = random_messages(field, lengths, rng)
-            for a in range(1, num_users + 1):
-                known = {m: v for m, v in msgs.items() if a in m}
-                cand = candidate_set(scheme, a, known)
-                oracle = brute_force_words(field, a, known, t, cols)
-                assert cand.witnesses.shape == cand.words.shape[:1]
-                for word, j in zip(cand.words.tolist(), cand.witnesses.tolist()):
-                    assert tuple(word) == oracle[j]
+            check(field, lengths, random_messages(field, lengths, rng), t, cols, scheme)
             checked += 1
 
 
@@ -735,7 +726,7 @@ def test_user_decode_noiseless_identity():
 def test_user_decode_ties_go_to_the_smallest_candidate():
     # With n_dl = 3 binary symbols, many candidate words share a codeword;
     # on the identity downlink they all score 0, and the decoder must
-    # return the first of them, as the per-candidate loop does.
+    # return the first of them in span order, as the per-candidate loop does.
     field = Field(2)
     lengths = lengths_l3()
     t, cols, scheme = compiled(field, lengths)
@@ -753,6 +744,58 @@ def test_user_decode_ties_go_to_the_smallest_candidate():
             assert np.array_equal(cand.words[got], want)
             tied += sum(np.array_equal(cb.codeword(w), y) for w in cand.words) > 1
     assert tied >= 10
+
+
+def test_users_break_ties_to_the_first_span_row_as_the_relay_does():
+    # Row j is the assignment with big-endian index j, so ties go to the
+    # smallest assignment index, as at the relay, and not to the smallest word.
+    field = Field(2)
+    # Users 2 and 3 have 8 and 16 candidates of the 32 five-bit relay words.
+    _, lengths = reindex_users(SymbolLengths(3, {(1,): 1, (2,): 2, (3,): 2, (1, 2): 1, (2, 3): 1}))
+    t, cols, scheme = compiled(field, lengths)
+    msgs = random_messages(field, lengths, stream(8, "tie-rule"))
+    width = relay_word(scheme, msgs).size
+    cb = DownlinkCodebook(np.array([0.5, 0.5]), 64, 5)
+    down = identity_downlink(3, 2)
+    not_smallest = 0
+    for a in (2, 3):
+        known = {m: v for m, v in msgs.items() if a in m}
+        cand = candidate_set(scheme, a, known)
+        members = {tuple(w) for w in cand.words.tolist()}
+        assert len(members) < 2**width
+        outside = next(w for w in all_vectors(2, width) if tuple(w.tolist()) not in members)
+        # The broadcast word is no candidate: every row has probability 0.
+        y = cb.codeword(outside)
+        assert not np.any(np.all(cb.codeword(cand.words) == y, axis=-1))
+        row = user_decode_word(y, cb, cand, down, a)
+        assert row == 0
+        rec = recover_messages(scheme, a, row)
+        assert all(not v.any() for v in rec.values())
+        zeros = {m: np.zeros(lengths.k[m], dtype=np.int64) for m in rec}
+        assert np.array_equal(cand.words[0], ref_relay_word(field, {**known, **zeros}, t, cols))
+        not_smallest += cand.words[0].tolist() != min(cand.words.tolist())
+    assert not_smallest > 0  # the smallest-word rule would decide otherwise
+    # On a BSC downlink, the row is the first exact maximum in assignment order.
+    down = bsc_downlink(3, 0.2)
+    lengths = lengths_l3()
+    t, cols, scheme = compiled(field, lengths)
+    rng = stream(8, "tie-rule-bsc")
+    differs = 0
+    for trial in range(10):
+        msgs = random_messages(field, lengths, rng)
+        cb = DownlinkCodebook(np.array([0.5, 0.5]), 3, trial)
+        x0 = cb.codeword(relay_word(scheme, msgs))
+        for a in (1, 2, 3):
+            known = {m: v for m, v in msgs.items() if a in m}
+            cand = candidate_set(scheme, a, known)
+            y = sample_downlink(down, a, x0, rng.random(x0.shape))
+            row = user_decode_word(y, cb, cand, down, a)
+            oracle = brute_force_words(field, a, known, t, cols)
+            want = ref_user_decode(y, cb, np.array(oracle), down.channel(a))
+            assert row == oracle.index(tuple(want.tolist()))
+            smallest = ref_user_decode(y, cb, np.array(sorted(oracle)), down.channel(a))
+            differs += not np.array_equal(want, smallest)
+    assert differs > 0  # the smallest-word rule would decide otherwise
 
 
 def test_user_decode_breaks_joint_type_ties_exactly():
@@ -828,7 +871,7 @@ def test_recover_messages_round_trip_and_negative_control():
             for a in range(1, num_users + 1):
                 known = {m: v for m, v in msgs.items() if a in m}
                 cand = candidate_set(scheme, a, known)
-                rec = recover_messages(scheme, a, cand, row_of(cand, truth))
+                rec = recover_messages(scheme, a, row_of(cand, truth))
                 assert set(rec) == {m for m in message_ids(num_users) if a not in m}
                 for m, v in rec.items():
                     assert np.array_equal(v, msgs[m]), (a, m)
@@ -836,7 +879,7 @@ def test_recover_messages_round_trip_and_negative_control():
                 corrupted = truth.copy()
                 corrupted[0] = field.add(int(corrupted[0]), 1)
                 cand = candidate_set(scheme, 1, {m: v for m, v in msgs.items() if 1 in m})
-                rec = recover_messages(scheme, 1, cand, row_of(cand, corrupted))
+                rec = recover_messages(scheme, 1, row_of(cand, corrupted))
                 assert any(not np.array_equal(rec[m], msgs[m]) for m in rec)
 
 
@@ -848,7 +891,7 @@ def test_l2_user2_subtracts_own_message():
     word = relay_word(scheme, msgs)
     assert np.array_equal(word, field.add(msgs[(1,)], msgs[(2,)]))
     cand = candidate_set(scheme, 2, {(2,): msgs[(2,)], (1, 2): msgs[(1, 2)]})
-    rec = recover_messages(scheme, 2, cand, row_of(cand, word))
+    rec = recover_messages(scheme, 2, row_of(cand, word))
     assert np.array_equal(rec[(1,)], msgs[(1,)])
 
 
@@ -873,7 +916,7 @@ def bsc_downlink(num_users, q):
 
 def test_compiled_path_matches_reference_loops_on_bsc_downlinks():
     # Same codebook rows, noisy downlinks: the stacked type-count decoder and
-    # the witness lookup agree with the per-candidate loop and elimination.
+    # recovery from the decoded row agree with the per-candidate loop and elimination.
     for order in (2, 3, 4):
         field = Field(order)
         rng = stream(8, "compiled-vs-reference", order)
@@ -900,7 +943,7 @@ def test_compiled_path_matches_reference_loops_on_bsc_downlinks():
                 row = user_decode_word(y, cb, cand, down, a)
                 got = cand.words[row]
                 assert np.array_equal(got, ref_user_decode(y, cb, cand.words, down.channel(a)))
-                rec = recover_messages(scheme, a, cand, row)
+                rec = recover_messages(scheme, a, row)
                 ref = ref_recover_messages(field, a, got, known, t, cols)
                 assert set(rec) == set(ref)
                 for m in rec:
@@ -952,7 +995,7 @@ def test_shared_arrays_are_read_only():
     # callers get copies they may write
     msgs = random_messages(field, lengths_l3(), stream(8, "ro"))
     cand = candidate_set(scheme, 2, {m: v for m, v in msgs.items() if 2 in m})
-    rec = recover_messages(scheme, 2, cand, row_of(cand, relay_word(scheme, msgs)))
+    rec = recover_messages(scheme, 2, row_of(cand, relay_word(scheme, msgs)))
     rec[(1,)][0] = 0
 
 
@@ -984,18 +1027,17 @@ def test_stacked_calls_equal_per_trial_calls():
             cand = candidate_set(scheme, a, known)
             y = sample_downlink(down, a, x0, uniforms)
             got = user_decode_word(y, cb, cand, down, a)
-            rec = recover_messages(scheme, a, cand, got)
+            rec = recover_messages(scheme, a, got)
             for i in range(trials):
                 known_i = {m: v[i] for m, v in known.items()}
                 cand_i = candidate_set(scheme, a, known_i)
                 assert np.array_equal(cand.words[i], cand_i.words)
-                assert np.array_equal(cand.witnesses[i], cand_i.witnesses)
                 cb_i = DownlinkCodebook(np.array([0.5, 0.5]), 6, keys[i])
                 assert np.array_equal(cb.codeword(cand.words)[i], cb_i.codeword(cand_i.words))
                 assert np.array_equal(y[i], sample_downlink(down, a, x0[i], uniforms[i]))
                 got_i = user_decode_word(y[i], cb_i, cand_i, down, a)
                 assert got[i] == got_i
-                rec_i = recover_messages(scheme, a, cand_i, got_i)
+                rec_i = recover_messages(scheme, a, got_i)
                 assert all(np.array_equal(rec[m][i], rec_i[m]) for m in rec_i)
 
 

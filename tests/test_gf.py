@@ -11,7 +11,6 @@ from mwrelay.gf import (
     default_reduction_poly,
     mat_mul,
     random_matrix,
-    random_vec,
     rank,
     solve_linear,
     span,
@@ -159,7 +158,7 @@ def test_solve_round_trips_random_systems():
             a = random_matrix(f, n, n, rng)
             if rank(f, a) < n:
                 continue
-            x = random_vec(f, n, rng)
+            x = random_matrix(f, 1, n, rng)[0]
             # solve_linear uses the column convention b = A x
             b = mat_mul(f, x, a.T)
             sol = solve_linear(f, a, b)
@@ -193,7 +192,7 @@ def test_random_matrix_deterministic_and_uniform():
     assert np.array_equal(m1, m2)
     assert random_matrix(f, 0, 0, stream(9, "det")).shape == (0, 0)
 
-    draws = random_vec(f, 100_000, stream(9, "freq"))
+    draws = random_matrix(f, 1, 100_000, stream(9, "freq"))[0]
     counts = np.bincount(draws, minlength=4)
     expect = draws.size / 4
     sigma = np.sqrt(draws.size * 0.25 * 0.75)
@@ -420,7 +419,7 @@ def test_rank_and_solve_match_brute_force():
         for i in range(36):
             rows, cols = (int(v) for v in rng.integers(1, 4, size=2))
             a = random_matrix(f, rows, cols, rng)
-            b = random_vec(f, rows, rng)
+            b = random_matrix(f, 1, rows, rng)[0]
             if rows >= 2 and i % 3:
                 # Last row = s * first row (+ t * second), so the rank drops.
                 s, t = (int(v) for v in rng.integers(0, order, size=2))

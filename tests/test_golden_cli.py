@@ -25,6 +25,7 @@ CASES = {
     "schedule_build": ["schedule-build", "--config", "schedule_l3.json"],
     "region_sweep": ["region-sweep", "--config", "region_sweep_f4.json"],
     "simulate_noisy": ["simulate", "--config", "noisy_uplink_small.json", "--seed", "11"],
+    "simulate_noisy_downlink": ["simulate", "--config", "noisy_downlink_small.json", "--seed", "11"],
     "simulate_noisy_f4": ["simulate", "--config", "noisy_uplink_f4.json", "--seed", "11"],
     "simulate_zero": ["simulate", "--config", "zero_noise_roundtrip.json", "--seed", "11"],
 }

@@ -259,7 +259,7 @@ def test_downlink_errors_shrink_with_codeword_length():
         wrong = 0
         for t in range(150):
             rng = stream(12, "dltrend", n_dl, t)
-            msgs = {m: gflib.random_vec(field, lengths.k[m], rng) for m in lengths.k}
+            msgs = {m: gflib.random_matrix(field, 1, lengths.k[m], rng)[0] for m in lengths.k}
             truth = codec.relay_word(scheme, msgs)
             cb = codec.DownlinkCodebook(onp.array([0.5, 0.5]), n_dl, int(rng.integers(0, 2**62)))
             x0 = cb.codeword(truth)
@@ -357,7 +357,7 @@ def ref_run_trial(cfg: TrialConfig, down, scheme, key: int, t: int) -> tuple[boo
         y_a = sample_downlink(down, a, x0, np.array(take(cfg.n_dl)))
         row = codec.user_decode_word(y_a, codebook, cands, down, a)
         downlink |= not np.array_equal(cands.words[row], word_hat)
-        recovered = codec.recover_messages(scheme, a, cands, row)
+        recovered = codec.recover_messages(scheme, a, row)
         failed |= any(not np.array_equal(v, messages[m]) for m, v in recovered.items())
     uplink = not np.array_equal(word_hat, codec.relay_word(scheme, messages))
     assert next(u, None) is None  # every uniform of the layout was read
@@ -562,8 +562,8 @@ def test_error_events_on_the_bundled_configs():
 def test_a_wrong_recovery_from_right_words_is_an_internal_error(monkeypatch):
     recover = codec.recover_messages
 
-    def corrupt(scheme, a, candidates, row):
-        return {m: v ^ 1 for m, v in recover(scheme, a, candidates, row).items()}
+    def corrupt(scheme, a, row):
+        return {m: v ^ 1 for m, v in recover(scheme, a, row).items()}
 
     monkeypatch.setattr(codec, "recover_messages", corrupt)
     with pytest.raises(RuntimeError, match="recovered wrongly"):
