@@ -591,25 +591,26 @@ def row_of(cand, word):
     return int(row)
 
 
-def test_candidate_set_matches_brute_force_and_bound():
-    # Row j of a candidate set is the word of the unknown messages' assignment
-    # with big-endian index j, through the per-column relay map, row for row.
-    def check(field, lengths, msgs, t, cols, scheme):
-        for a in range(1, lengths.num_users + 1):
-            known = {m: v for m, v in msgs.items() if a in m}
-            cand = candidate_set(scheme, a, known)
-            oracle = brute_force_words(field, a, known, t, cols)
-            assert [tuple(w) for w in cand.words.tolist()] == oracle
-            assert cand.words.shape[0] <= field.order ** lengths.k_sums()[a - 1]
-            # rows recover the assignments of their words
-            for i in range(cand.words.shape[0]):
-                witness = {**known, **recover_messages(scheme, a, i)}
-                w = ref_relay_word(field, witness, t, cols)
-                assert np.array_equal(w, cand.words[i])
-            # true word is always a candidate
-            truth = ref_relay_word(field, msgs, t, cols)
-            assert any(np.array_equal(truth, w) for w in cand.words)
+def check_candidate_sets(field, lengths, msgs, t, cols, scheme):
+    """Row j of each user's candidate set is the word of the unknown messages'
+    assignment with big-endian index j, through the per-column relay map."""
+    for a in range(1, lengths.num_users + 1):
+        known = {m: v for m, v in msgs.items() if a in m}
+        cand = candidate_set(scheme, a, known)
+        oracle = brute_force_words(field, a, known, t, cols)
+        assert [tuple(w) for w in cand.words.tolist()] == oracle
+        assert cand.words.shape[0] <= field.order ** lengths.k_sums()[a - 1]
+        # rows recover the assignments of their words
+        for i in range(cand.words.shape[0]):
+            witness = {**known, **recover_messages(scheme, a, i)}
+            w = ref_relay_word(field, witness, t, cols)
+            assert np.array_equal(w, cand.words[i])
+        # true word is always a candidate
+        truth = ref_relay_word(field, msgs, t, cols)
+        assert any(np.array_equal(truth, w) for w in cand.words)
 
+
+def test_candidate_set_matches_brute_force_and_bound():
     rng = stream(8, "cand")
     for order in (2, 3):
         field = Field(order)
@@ -617,7 +618,12 @@ def test_candidate_set_matches_brute_force_and_bound():
             lengths = SymbolLengths(3, {m: int(rng.integers(0, 2)) for m in message_ids(3)})
             _, lengths = reindex_users(lengths)
             t, cols, scheme = compiled(field, lengths)
-            check(field, lengths, random_messages(field, lengths, rng), t, cols, scheme)
+            check_candidate_sets(field, lengths, random_messages(field, lengths, rng), t, cols, scheme)
+
+
+def test_candidate_witnesses_index_the_assignments_of_their_words():
+    # A row is its own witness: its index is the big-endian index of an
+    # assignment of the unknown messages, over GF(2), GF(3), GF(4) and 2-4 users.
     rng = stream(8, "witness")
     for order in (2, 3, 4):
         field = Field(order)
@@ -631,7 +637,7 @@ def test_candidate_set_matches_brute_force_and_bound():
             if order ** max(lengths.k_sums()) > 256:
                 continue
             t, cols, scheme = compiled(field, lengths)
-            check(field, lengths, random_messages(field, lengths, rng), t, cols, scheme)
+            check_candidate_sets(field, lengths, random_messages(field, lengths, rng), t, cols, scheme)
             checked += 1
 
 
