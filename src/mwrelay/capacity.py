@@ -10,6 +10,7 @@ private parts (with Farkas-style infeasibility certificates).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -269,20 +270,76 @@ class _SplitSystem:
         return lp.solve_lp(objective, self.a_eq, self.b_eq, a_ub, b_ub)
 
 
+def _gale_slack(rates: RateTuple, caps, users) -> Fraction | None:
+    """Least supply minus demand over sets of the users in ``users`` that fall short.
+
+    A split routes pair {i, j}'s rate R_{i,j} to i and to j.  With T the
+    total rate, user a's cap holds iff its effective private rate reaches
+    T - cap_a, so it needs demand d_a = T - cap_a - R_a from its pairs.  By
+    Gale's supply-demand theorem (Gale, "A theorem on flows in networks",
+    Pacific J. Math. 1957) the caps in ``users`` can all be met iff every
+    set S of users with d_a > 0 has sum_{a in S} d_a <= sum of R_p over the
+    pairs p meeting S.  Returns the least slack over those sets (None when
+    no user falls short), scanned in integers scaled by the common
+    denominator.
+    """
+    total = sum(rates.rates.values())
+    need = {a: total - caps[a - 1] - rates.rate((a,)) for a in users}
+    short = [a for a in users if need[a] > 0]
+    if not short:
+        return None
+    bit = {a: 1 << i for i, a in enumerate(short)}
+    pairs = [
+        (bit.get(p[0], 0) | bit.get(p[1], 0), r)
+        for p, r in rates.rates.items()
+        if len(p) == 2 and r and (p[0] in bit or p[1] in bit)
+    ]
+    scale = math.lcm(*(need[a].denominator for a in short), *(r.denominator for _, r in pairs))
+    demand = [int(need[a] * scale) for a in short]
+    supply = [(mask, int(r * scale)) for mask, r in pairs]
+    least = min(
+        sum(r for mask, r in supply if mask & s) - sum(d for i, d in enumerate(demand) if s >> i & 1)
+        for s in range(1, 1 << len(short))
+    )
+    return Fraction(least, scale)
+
+
+def _gale_feasible(rates: RateTuple, caps, users) -> bool:
+    """Whether some split meets the caps of ``users`` (see ``_gale_slack``)."""
+    slack = _gale_slack(rates, caps, users)
+    return slack is None or slack >= 0
+
+
+def _minimal_caps(rates: RateTuple, caps) -> list[int]:
+    """Deletion filter: drop each user's cap in turn while the rest stay infeasible."""
+    minimal = list(range(1, rates.num_users + 1))
+    for a in list(minimal):
+        trial = [u for u in minimal if u != a]
+        if not _gale_feasible(rates, caps, trial):
+            minimal = trial
+    return minimal
+
+
 def fdfp_feasible(rates: RateTuple, caps) -> FdfpResult:
     """Can splitting common messages into private parts meet every cap?
 
     Each pair rate R_{i,j} is split into nonnegative parts routed to i
     and to j; user a's effective private load r_a = R_a + its incoming
     parts must satisfy sum_{j != a} r_j <= caps[a-1] for every a.
-    Solved exactly in rationals; infeasibility comes with verified
-    certificate chains deriving an explicit violated inequality.
+
+    Gale's supply-demand condition (Gale 1957; see ``_gale_slack``)
+    decides, exactly, the verdict and each step of the deletion filter
+    that finds a minimal infeasible cap set.  The exact simplex
+    (``lp.solve_lp``) only writes what the answer shows: one solve for a
+    feasible tuple's splits, and one per chain of an infeasible tuple's
+    certificate, each chain deriving an explicit violated inequality and
+    verified exactly.
     """
     sys = _SplitSystem(rates, caps)
     users = list(range(1, sys.num_users + 1))
-    zero = [Fraction(0)] * sys.n
-    full = sys.solve(zero, users)
-    if full.status == "optimal":
+    if _gale_feasible(rates, sys.caps, users):
+        full = sys.solve([Fraction(0)] * sys.n, users)
+        assert full.status == "optimal", "the split LP must agree with Gale's condition"
         splits = dict(zip(sys.vars, full.x))
         eff = [
             rates.rate((a,)) + sum((v for (_, to), v in splits.items() if to == a), Fraction(0))
@@ -290,12 +347,7 @@ def fdfp_feasible(rates: RateTuple, caps) -> FdfpResult:
         ]
         return FdfpResult(True, splits=splits, effective_private=eff)
 
-    # Minimal infeasible cap subset via the deletion filter.
-    minimal = list(users)
-    for a in list(minimal):
-        trial = [u for u in minimal if u != a]
-        if sys.solve(zero, trial).status == "infeasible":
-            minimal = trial
+    minimal = _minimal_caps(rates, sys.caps)
     chains = []
     for star in minimal:
         support = [u for u in minimal if u != star]

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -10,10 +12,14 @@ from mwrelay.capacity import (
     MARGIN_TOL,
     RateTuple,
     RegionEvaluator,
+    _gale_feasible,
+    _gale_slack,
+    _minimal_caps,
     fdfp_feasible,
     max_min_downlink,
     region_slice,
 )
+from mwrelay import lp
 from mwrelay.channel import DownlinkSpec, UplinkSpec, identity_downlink, mutual_info, uplink_bound
 from mwrelay.gf import Field
 from mwrelay.rng import stream
@@ -448,3 +454,216 @@ def test_fdfp_two_users_pair_rate_still_burdens_the_baseline():
     tight = fdfp_feasible(r, [Fraction(1, 5), Fraction(1, 5)])
     assert not tight.feasible
     assert tight.certificate.minimal_caps == [1, 2]
+
+
+@pytest.mark.parametrize("caps", [[1, 1], [1, 1, 1, 1]])
+def test_fdfp_rejects_a_cap_count_other_than_the_user_count_before_any_work(caps, monkeypatch):
+    def forbidden(*_):
+        raise AssertionError("split work started before the input check")
+
+    monkeypatch.setattr("mwrelay.capacity._gale_slack", forbidden)
+    monkeypatch.setattr("mwrelay.lp.solve_lp", forbidden)
+    with pytest.raises(ValueError, match="one cap per user required"):
+        fdfp_feasible(counterexample_rates(), caps)
+
+
+# -- Gale's supply-demand verdict against independent oracles ---------------------
+
+
+def near_cap_tuples(label, count):
+    """Seeded tuples for L = 2..7, drawn like the benchmark's split checks.
+
+    Integer rates and caps near 1, scaled so the most loaded user sits at
+    96-104% of its cap: most are infeasible, not all trivially.
+    """
+    rng = stream(13, label)
+    for b in range(count):
+        n = 2 + b % 6
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        raw = RateTuple.from_lists(
+            [int(v) for v in rng.integers(0, 9, n)],
+            {p: int(v) for p, v in zip(pairs, rng.integers(0, 9, len(pairs)))},
+        )
+        caps = [Fraction(int(c), 20) for c in rng.integers(18, 23, n)]
+        load = max(s / c for s, c in zip(raw.sum_rates(), caps))
+        factor = Fraction(int(rng.integers(96, 105)), 100) / load if load else 1
+        yield raw.scaled(factor), caps
+
+
+@functools.cache
+def oracle_tuples():
+    """1,000 drawn tuples, each with its least Gale slack over all caps."""
+    return [(r, c, _gale_slack(r, c, range(1, r.num_users + 1))) for r, c in near_cap_tuples("gale", 1000)]
+
+
+def split_rows(rates, caps):
+    """The split LP written from its definition: ``(a_eq, b_eq, a_ub, b_ub)``.
+
+    Variable (p, m) is the part of pair p routed to its member m; user a's
+    row bounds sum_{j != a} r_j by its cap, with r_j = R_j + j's parts.
+    """
+    users = range(1, rates.num_users + 1)
+    pairs = [p for p in rates.rates if len(p) == 2]
+    arcs = [(p, m) for p in pairs for m in p]
+    a_eq = [[int(q == p) for q, _ in arcs] for p in pairs]
+    a_ub = [[int(m != a) for _, m in arcs] for a in users]
+    own = sum(rates.rate((a,)) for a in users)
+    b_ub = [caps[a - 1] - own + rates.rate((a,)) for a in users]
+    return a_eq, [rates.rate(p) for p in pairs], a_ub, b_ub
+
+
+def exact_lp_feasible(rates, caps) -> bool:
+    a_eq, b_eq, a_ub, b_ub = split_rows(rates, caps)
+    return lp.solve_lp([0] * len(a_eq[0]), a_eq, b_eq, a_ub, b_ub).status == "optimal"
+
+
+def highs_overruns(systems):
+    """Per split system, the least cap overrun t >= 0 that makes it feasible.
+
+    One HiGHS solve over the block-diagonal union: system k's cap rows
+    read A_ub x - t_k <= b_ub and the sum of the t_k is minimized, so each
+    t_k is its own system's least overrun, 0 exactly when it is feasible.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import block_diag, csr_array, hstack
+
+    k = len(systems)
+    a_eq = block_diag([np.array(s[0], float) for s in systems], format="csr")
+    a_ub = block_diag([np.array(s[2], float) for s in systems], format="csr")
+    owner = np.repeat(np.arange(k), [len(s[2]) for s in systems])
+    rows = np.arange(owner.size)
+    a_ub = hstack([a_ub, csr_array((-np.ones(owner.size), (rows, owner)), shape=(owner.size, k))])
+    a_eq = hstack([a_eq, csr_array((a_eq.shape[0], k))])
+    res = linprog(
+        np.r_[np.zeros(a_eq.shape[1] - k), np.ones(k)],
+        A_ub=a_ub,
+        b_ub=np.concatenate([np.array(s[3], float) for s in systems]),
+        A_eq=a_eq,
+        b_eq=np.concatenate([np.array(s[1], float) for s in systems]),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return res.x[-k:]
+
+
+def test_gale_verdict_matches_highs():
+    pytest.importorskip("scipy")
+    tuples = oracle_tuples()
+    assert {r.num_users for r, _, _ in tuples} == set(range(2, 8))
+    # HiGHS works to about 1e-7, so its verdicts are read only where
+    # Gale's slack is far from 0; exact ties go to the exact LP below.
+    assert min(abs(s) for _, _, s in tuples if s) > Fraction(1, 1000)
+    clear = [(r, c, s is None or s > 0) for r, c, s in tuples if s != 0]
+    assert len(clear) > 950
+    overruns = highs_overruns([split_rows(r, c) for r, c, _ in clear])
+    verdicts = [feasible for _, _, feasible in clear]
+    assert [t <= 1e-6 for t in overruns] == verdicts
+    assert 0.1 < sum(verdicts) / len(verdicts) < 0.5
+
+
+def test_gale_verdict_matches_the_exact_lp_on_ties_and_small_tuples():
+    # Phase I of the exact simplex, on every tie (least slack exactly 0,
+    # so feasible) and, where it is cheap, on L <= 4.
+    tuples = oracle_tuples()
+    ties = [(r, c) for r, c, s in tuples if s == 0]
+    assert len({r.num_users for r, _ in ties}) > 3
+    for r, c in ties:
+        assert exact_lp_feasible(r, c)
+    for r, c, s in tuples:
+        if s != 0 and r.num_users <= 4:
+            assert exact_lp_feasible(r, c) == (s is None or s > 0)
+
+
+def test_gale_verdict_matches_a_split_grid_on_three_users():
+    # The split system's matrix is the incidence matrix of a bipartite
+    # graph (pairs against users), so it is totally unimodular: with every
+    # rate and cap a multiple of 1/den, a feasible system has a vertex on
+    # the 1/den grid, and searching that grid decides it exactly.
+    rng = stream(13, "gale-grid")
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    verdicts = []
+    for _ in range(300):
+        den = int(rng.integers(2, 5))
+        own = [0] + [int(v) for v in rng.integers(0, den + 1, 3)]
+        pair = dict(zip(pairs, (int(v) for v in rng.integers(0, den + 1, 3))))
+        total = sum(own) + sum(pair.values())
+        # User a needs u_a of its pairs' rate; u_a runs up to all of it.
+        caps = [
+            total - own[a] - int(rng.integers(0, 1 + sum(v for p, v in pair.items() if a in p)))
+            for a in (1, 2, 3)
+        ]
+        grid = False
+        for first in itertools.product(*(range(v + 1) for v in pair.values())):
+            load = list(own)
+            for (i, j), x in zip(pairs, first):
+                load[i] += x
+                load[j] += pair[(i, j)] - x
+            if all(total - load[a] <= caps[a - 1] for a in (1, 2, 3)):
+                grid = True
+                break
+        rates = RateTuple.from_lists(
+            [Fraction(v, den) for v in own[1:]], {p: Fraction(v, den) for p, v in pair.items()}
+        )
+        assert _gale_feasible(rates, [Fraction(c, den) for c in caps], (1, 2, 3)) == grid
+        verdicts.append(grid)
+    assert 50 < sum(verdicts) < 250
+
+
+def subset_deficits(rates, caps) -> list[Fraction]:
+    """Demand minus pair supply of every user set S, indexed by bitmask (bit a - 1 is user a).
+
+    User a demands T - cap_a - R_a; the pairs meeting S supply their rates.
+    """
+    n = rates.num_users
+    total = sum(rates.rates.values())
+    need = [total - caps[a - 1] - rates.rate((a,)) for a in range(1, n + 1)]
+    pairs = [((1 << p[0] - 1) | (1 << p[1] - 1), r) for p, r in rates.rates.items() if len(p) == 2]
+    scale = math.lcm(*(v.denominator for v in need), *(r.denominator for _, r in pairs))
+    need = [int(v * scale) for v in need]
+    pairs = [(mask, int(r * scale)) for mask, r in pairs]
+    return [
+        Fraction(
+            sum(d for a, d in enumerate(need) if s >> a & 1) - sum(r for mask, r in pairs if mask & s),
+            scale,
+        )
+        for s in range(1 << n)
+    ]
+
+
+def test_minimal_caps_are_a_violated_gale_set_whose_proper_parts_pass():
+    infeasible = [(r, c) for r, c, s in oracle_tuples() if s is not None and s < 0]
+    assert len(infeasible) > 500
+    for rates, caps in infeasible:
+        deficit = subset_deficits(rates, caps)
+        minimal = _minimal_caps(rates, caps)
+        mask = sum(1 << a - 1 for a in minimal)
+        assert deficit[mask] > 0
+        for a in minimal:
+            rest = mask & ~(1 << a - 1)
+            assert all(deficit[s] <= 0 for s in range(len(deficit)) if s & ~rest == 0)
+    # fdfp_feasible reports the same set (chains are cheap at L = 3).
+    for rates, caps in infeasible:
+        if rates.num_users == 3:
+            assert fdfp_feasible(rates, caps).certificate.minimal_caps == _minimal_caps(rates, caps)
+
+
+def test_gale_decides_the_five_user_tuple_whose_chain_solve_fails():
+    # bench/test_bench.py pins this tuple as a strict xfail: the chain
+    # solves of the exact simplex still fail on it.  The verdict and the
+    # minimal set no longer depend on them.  The most violated set is all
+    # five users; the deletion filter drops user 1 first, since the caps
+    # of users 2-5 alone already conflict.
+    F = Fraction
+    rates = RateTuple(5, {
+        (1,): F(0), (2,): F(57, 500), (3,): F(19, 200), (4,): F(57, 500), (5,): F(0),
+        (1, 2): F(19, 500), (1, 3): F(19, 200), (1, 4): F(133, 1000), (1, 5): F(57, 500),
+        (2, 3): F(57, 500), (2, 4): F(19, 125), (2, 5): F(19, 200), (3, 4): F(19, 125),
+        (3, 5): F(57, 500), (4, 5): F(0),
+    })
+    caps = [F(19, 20), F(9, 10), F(21, 20), F(9, 10), F(21, 20)]
+    assert not _gale_feasible(rates, caps, range(1, 6))
+    assert _gale_slack(rates, caps, range(1, 6)) == -F(47, 100)
+    deficit = subset_deficits(rates, caps)
+    assert max(deficit) == deficit[0b11111] == F(47, 100)
+    assert _minimal_caps(rates, caps) == [2, 3, 4, 5]
+    assert deficit[0b11110] == F(9, 100)

@@ -80,6 +80,17 @@ def test_fdfp_check_feasible(tmp_path, capsys):
     assert code == 0 and "Feasible" in out
 
 
+@pytest.mark.parametrize("caps", [["1", "1"], ["1", "1", "1", "1"]])
+def test_fdfp_check_rejects_a_cap_count_other_than_the_user_count(tmp_path, capsys, caps):
+    cfg = json.loads((CONFIGS / "f4_pairwise_counterexample.json").read_text())
+    cfg["caps"] = caps
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code, out, err = run(["fdfp-check", "--config", p], capsys)
+    assert code == 2 and out == ""
+    assert "config error: one cap per user required" in err
+
+
 def test_schedule_build(tmp_path, capsys):
     json_out = tmp_path / "table.json"
     code, out, _ = run(

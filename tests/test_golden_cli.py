@@ -22,6 +22,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
     "region_check": ["region-check", "--config", "f4_pairwise_counterexample.json"],
     "fdfp_check": ["fdfp-check", "--config", "f4_pairwise_counterexample.json"],
+    "fdfp_check_feasible": ["fdfp-check", "--config", "fdfp_feasible_l4.json"],
     "schedule_build": ["schedule-build", "--config", "schedule_l3.json"],
     "region_sweep": ["region-sweep", "--config", "region_sweep_f4.json"],
     "simulate_noisy": ["simulate", "--config", "noisy_uplink_small.json", "--seed", "11"],
