@@ -66,6 +66,7 @@ class DownlinkSpec:
                 raise ValueError(f"user {a} channel matrix must have {self.input_size} rows")
             chans.append(validate_pmf(w, f"user {a} channel matrix"))
         self.user_channels = tuple(chans)
+        self._steps = tuple(cdf_steps(w) for w in chans)
 
     @property
     def num_users(self) -> int:
@@ -73,9 +74,12 @@ class DownlinkSpec:
 
     def channel(self, a: int) -> np.ndarray:
         """Transition matrix of user ``a`` (1-based)."""
+        return self.user_channels[self._user(a)]
+
+    def _user(self, a: int) -> int:
         if not 1 <= a <= self.num_users:
             raise ValueError(f"no such user {a}")
-        return self.user_channels[a - 1]
+        return a - 1
 
 
 def identity_downlink(num_users: int, alphabet: int = 2) -> DownlinkSpec:
@@ -161,7 +165,7 @@ def sample_uplink_noise(up: UplinkSpec, u: np.ndarray) -> np.ndarray:
 
 def sample_downlink(down: DownlinkSpec, a: int, x0: np.ndarray, u: np.ndarray) -> np.ndarray:
     """User ``a``'s outputs for the relay inputs ``x0`` from drawn uniforms ``u`` of its shape."""
-    return inverse_cdf(np.take(cdf_steps(down.channel(a)), x0, axis=1), u)
+    return inverse_cdf(np.take(down._steps[down._user(a)], x0, axis=1), u)
 
 
 def cdf_steps(w: np.ndarray) -> np.ndarray:

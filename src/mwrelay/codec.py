@@ -348,8 +348,9 @@ class DownlinkCodebook:
     the position, and mixed into the word's seed; position t of the
     codeword is ``rng.uniforms`` of that seed at t, which
     ``channel.inverse_cdf`` maps to a symbol.
-    Words that differ in one position never share a seed.  A (T,) array
-    of keys holds one codebook per trial.
+    Words that differ in one position never share a seed, and equal seeds
+    give equal codewords, so a call hashes each distinct seed once.  A (T,)
+    array of keys holds one codebook per trial.
     """
 
     def __init__(self, input_dist: np.ndarray, n_dl: int, key: int | np.ndarray):
@@ -359,11 +360,13 @@ class DownlinkCodebook:
         self.n_dl = int(n_dl)
         self.key = np.asarray(key, dtype=np.uint64)
         self._steps = cdf_steps(self.input_dist)
+        self._dtype = np.min_scalar_type(self.input_dist.size - 1)
 
     def codeword(self, u: np.ndarray) -> np.ndarray:
         """The codeword of each word on the last axis of ``u``: (..., len) -> (..., n_dl).
 
-        With T keys, the leading axis of ``u`` is the trial axis.
+        With T keys, the leading axis of ``u`` is the trial axis.  Symbols are
+        of the narrowest unsigned type that holds the input alphabet.
         """
         words = np.asarray(u, dtype=np.int64).astype(np.uint64)
         # The key as an array of words.ndim axes keeps every uint64 product an
@@ -372,25 +375,26 @@ class DownlinkCodebook:
         positions = np.arange(1, words.shape[-1] + 1, dtype=np.uint64)
         multipliers = _splitmix(key + _GAMMA * positions) | np.uint64(1)
         mixed = ((words + np.uint64(1)) * multipliers).sum(axis=-1, keepdims=True, dtype=np.uint64)
-        return inverse_cdf(self._steps, uniforms(_splitmix(key + mixed)[..., 0], self.n_dl))
+        seeds = _splitmix(key + mixed)[..., 0]
+        # numpy 1.x returns the inverse flat, 2.x in the shape of seeds.
+        distinct, inverse = np.unique(seeds, return_inverse=True)
+        rows = inverse_cdf(self._steps, uniforms(distinct, self.n_dl)).astype(self._dtype)
+        return rows[inverse.reshape(seeds.shape)]
 
 
 def user_decode_word(
-    y_a: np.ndarray,
-    codebook: DownlinkCodebook,
-    candidates: CandidateSet,
-    down: DownlinkSpec,
-    a: int,
+    y_a: np.ndarray, codewords: np.ndarray, down: DownlinkSpec, a: int
 ) -> int | np.ndarray:
     """The candidate row exact ML picks, by joint type with ``y_a``.
 
-    Ties go to the first span row, the smallest assignment index, as at the
-    relay.  An int, or a (T,) array of rows for stacked candidates.
+    ``codewords`` are the candidates' downlink codewords in span order, (C, n_dl),
+    or (T, C, n_dl) with (T, n_dl) outputs.  Ties go to the first span row, the
+    smallest assignment index, as at the relay.  An int, or a (T,) array of rows.
     """
-    if codebook.input_dist.size > down.input_size:
-        raise ValueError("codebook alphabet exceeds the downlink input alphabet")
-    w = down.channel(a)
-    x, dtype = codebook.codeword(candidates.words), np.min_scalar_type(w.size - 1)
+    x, w = np.asarray(codewords), down.channel(a)
+    if x.size and (x.min() < 0 or x.max() >= down.input_size):
+        raise ValueError("a codeword symbol lies outside the downlink input alphabet")
+    dtype = np.min_scalar_type(w.size - 1)
     index = np.multiply(x, w.shape[1], dtype=dtype, casting="unsafe")  # x |Y| + y, narrow
     np.add(index, np.asarray(y_a)[..., None, :], out=index, casting="unsafe")
     return most_likely(w.ravel(), index)

@@ -14,7 +14,6 @@ of passes by the column count.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +96,8 @@ def run_shuffle(cols: list[SimplifiedColumn]) -> tuple[list[SimplifiedColumn], l
     Users are visited in ascending order; within a pass, the earliest
     column whose bottom symbol also tops another column is fixed first.
     """
-    cols = copy.deepcopy(cols)
+    # Only the cells change; MessageRef and the rows tuple are immutable.
+    cols = [SimplifiedColumn(c.index, c.block, c.rows, dict(c.cells)) for c in cols]
     users = sorted({r for col in cols for r in col.rows})
     total = len(cols)
     log: list[SwapRecord] = []

@@ -11,7 +11,10 @@ owner's and user 1's dithers as uniform field symbols, then the n
 uplink-noise uniforms and users 1..L's downlink uniforms.  The seed is also
 the trial's codebook key.  A chunk of trials is drawn in one array
 expression and decoded through ``codec`` with a leading trial axis, so no
-result depends on chunk size or execution order.
+result depends on chunk size or execution order.  The users' candidate
+sets overlap, and the broadcast word is a relay word like them, so a chunk
+takes all its codewords from one codebook pass over them stacked, which
+hashes each distinct word once.
 
 Chunks run one after another on the calling thread: a thread pool over
 them was slower than one thread on every measured workload.
@@ -34,11 +37,15 @@ from .shuffle import run_shuffle, simplify
 
 # Largest stacked array, in elements, one chunk of trials may build: the
 # relay's candidate words (F^k x n a block) or a user's candidate codewords
-# (C x n_dl).  Chunks share each call's fixed cost: noisy_uplink_small's
-# 10-trial chunk (20,480 elements) ran 0.71 ms a trial against 0.78 in
-# chunks of 8 and 1.43 in chunks of 2.  Large stacks gain nothing: GF(4),
-# k=6, n=16 relay spans (65,536 elements each) ran 1.58 ms a trial two at a
-# time against 1.30 one at a time (median CPU time, 2 vCPU Xeon, shared host).
+# (C x n_dl).  All users' codewords share one stack of (1 + sum C) x n_dl
+# uint8 symbols (up to 256 inputs), with at most seven users fewer bytes than
+# C x n_dl int64 ones, so C x n_dl is what counts.  The pass draws float rows
+# only for distinct words: C of them on every bundled config, at most 1 + sum C.
+# Chunks share each call's fixed cost: noisy_uplink_small's 10-trial chunk
+# (20,480 elements) ran 0.71 ms a trial against 0.78 in chunks of 8 and 1.43
+# in chunks of 2.  Large stacks gain nothing: GF(4), k=6, n=16 relay spans
+# (65,536 elements each) ran 1.58 ms a trial two at a time against 1.30 one
+# at a time (median CPU time, 2 vCPU Xeon, shared host).
 _STACK_BUDGET = 2**15
 
 
@@ -150,16 +157,19 @@ def _decode_trials(
     word_hat = codec.uplink_round(scheme, messages, codes, cfg.up, sample_uplink_noise(cfg.up, noise))
     uplink = np.any(word_hat != codec.relay_word(scheme, messages), axis=-1)
 
+    users = range(1, num_users + 1)
+    cands = [codec.candidate_set(scheme, a, {m: v for m, v in messages.items() if a in m}) for a in users]
+    # The broadcast word and every user's candidates, stacked for one codebook pass.
     codebook = codec.DownlinkCodebook(np.full(down.input_size, 1 / down.input_size), cfg.n_dl, seeds)
-    x0 = codebook.codeword(word_hat)
+    stack = codebook.codeword(np.concatenate([word_hat[:, None]] + [c.words for c in cands], axis=1))
+    x0, *x = np.split(stack, np.cumsum([1] + [c.words.shape[1] for c in cands[:-1]]), axis=1)
+    x0 = x0[:, 0]
     uniforms = uniforms.reshape(len(seeds), num_users, cfg.n_dl)
     downlink = failed = np.zeros(len(seeds), dtype=bool)
-    for a in range(1, num_users + 1):
-        known = {m: v for m, v in messages.items() if a in m}
-        cands = codec.candidate_set(scheme, a, known)
+    for a, cand, x_a in zip(users, cands, x):
         y_a = sample_downlink(down, a, x0, uniforms[:, a - 1])
-        row = codec.user_decode_word(y_a, codebook, cands, down, a)
-        word_a = np.take_along_axis(cands.words, row[:, None, None], axis=-2)[:, 0]
+        row = codec.user_decode_word(y_a, x_a, down, a)
+        word_a = np.take_along_axis(cand.words, row[:, None, None], axis=-2)[:, 0]
         downlink = downlink | np.any(word_a != word_hat, axis=-1)
         for m, v in codec.recover_messages(scheme, a, row).items():
             failed = failed | np.any(v != messages[m], axis=-1)

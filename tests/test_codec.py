@@ -725,7 +725,7 @@ def test_user_decode_noiseless_identity():
     for a in (1, 2, 3):
         known = {m: v for m, v in msgs.items() if a in m}
         cand = candidate_set(scheme, a, known)
-        got = user_decode_word(x0, cb, cand, down, a)
+        got = user_decode_word(x0, cb.codeword(cand.words), down, a)
         assert np.array_equal(cand.words[got], truth)
 
 
@@ -745,7 +745,7 @@ def test_user_decode_ties_go_to_the_smallest_candidate():
         y = cb.codeword(relay_word(scheme, msgs))
         for a in (1, 2, 3):
             cand = candidate_set(scheme, a, {m: v for m, v in msgs.items() if a in m})
-            got = user_decode_word(y, cb, cand, down, a)
+            got = user_decode_word(y, cb.codeword(cand.words), down, a)
             want = ref_user_decode(y, cb, cand.words, down.channel(a))
             assert np.array_equal(cand.words[got], want)
             tied += sum(np.array_equal(cb.codeword(w), y) for w in cand.words) > 1
@@ -773,7 +773,7 @@ def test_users_break_ties_to_the_first_span_row_as_the_relay_does():
         # The broadcast word is no candidate: every row has probability 0.
         y = cb.codeword(outside)
         assert not np.any(np.all(cb.codeword(cand.words) == y, axis=-1))
-        row = user_decode_word(y, cb, cand, down, a)
+        row = user_decode_word(y, cb.codeword(cand.words), down, a)
         assert row == 0
         rec = recover_messages(scheme, a, row)
         assert all(not v.any() for v in rec.values())
@@ -795,7 +795,7 @@ def test_users_break_ties_to_the_first_span_row_as_the_relay_does():
             known = {m: v for m, v in msgs.items() if a in m}
             cand = candidate_set(scheme, a, known)
             y = sample_downlink(down, a, x0, rng.random(x0.shape))
-            row = user_decode_word(y, cb, cand, down, a)
+            row = user_decode_word(y, cb.codeword(cand.words), down, a)
             oracle = brute_force_words(field, a, known, t, cols)
             want = ref_user_decode(y, cb, np.array(oracle), down.channel(a))
             assert row == oracle.index(tuple(want.tolist()))
@@ -825,13 +825,13 @@ def test_user_decode_breaks_joint_type_ties_exactly():
             known = {m: v for m, v in stacked.items() if a in m}
             cand = candidate_set(scheme, a, known)
             y = sample_downlink(down, a, x0, rng.random(x0.shape))
-            got = user_decode_word(y, cb, cand, down, a)
+            got = user_decode_word(y, cb.codeword(cand.words), down, a)
             for i in range(trials):
                 cb_i = DownlinkCodebook(np.array([0.5, 0.5]), n_dl, keys[i])
                 want = ref_user_decode(y[i], cb_i, cand.words[i], w)
                 assert np.array_equal(cand.words[i, got[i]], want)
                 single = candidate_set(scheme, a, {m: v[i] for m, v in known.items()})
-                row = user_decode_word(y[i], cb_i, single, down, a)
+                row = user_decode_word(y[i], cb_i.codeword(single.words), down, a)
                 assert np.array_equal(single.words[row], want)
                 # Likelihood 0.1^n_dl 8^N: the rows with the most 0.8 pairs
                 # tie, and count when they have more than one joint type.
@@ -855,10 +855,12 @@ def test_user_decode_single_candidate():
     known = {(2,): np.array([1]), (1, 2): np.zeros(0, dtype=np.int64), (1,): np.zeros(0, dtype=np.int64)}
     cand = candidate_set(scheme1, 2, known)
     assert cand.words.shape[0] == 1
-    assert user_decode_word(np.zeros(16, dtype=np.int64), cb, cand, down, 2) == 0
-    wide = DownlinkCodebook(np.full(3, 1 / 3), 16, 4)
+    assert user_decode_word(np.zeros(16, dtype=np.int64), cb.codeword(cand.words), down, 2) == 0
+    # A ternary codebook's codewords hold symbol 2, which the binary downlink cannot send.
+    wide = DownlinkCodebook(np.full(3, 1 / 3), 16, 4).codeword(cand.words)
+    assert 2 in wide
     with pytest.raises(ValueError):
-        user_decode_word(np.zeros(16, dtype=np.int64), wide, cand, down, 2)
+        user_decode_word(np.zeros(16, dtype=np.int64), wide, down, 2)
 
 
 def test_recover_messages_round_trip_and_negative_control():
@@ -946,7 +948,7 @@ def test_compiled_path_matches_reference_loops_on_bsc_downlinks():
                 known = {m: v for m, v in msgs.items() if a in m}
                 cand = candidate_set(scheme, a, known)
                 y = sample_downlink(down, a, x0, rng.random(x0.shape))
-                row = user_decode_word(y, cb, cand, down, a)
+                row = user_decode_word(y, cb.codeword(cand.words), down, a)
                 got = cand.words[row]
                 assert np.array_equal(got, ref_user_decode(y, cb, cand.words, down.channel(a)))
                 rec = recover_messages(scheme, a, row)
@@ -971,6 +973,59 @@ def test_codeword_stack_matches_single_rows():
     other = DownlinkCodebook(np.array([0.25, 0.25, 0.5]), 40, 18).codeword(words)
     assert not np.array_equal(rows, other)
     assert cb.codeword(np.zeros(0, dtype=np.int64)).shape == (40,)
+
+
+def test_codeword_of_a_stack_equals_single_word_calls_and_hashes_each_seed_once(monkeypatch):
+    # The oracle is a loop of single-word calls on single-key codebooks.  Like
+    # the simulator's stack, a trial's rows hold a broadcast word and three
+    # users' candidates: words repeat within a user, across users and, under
+    # a repeated key, across trials.
+    from mwrelay import codec
+
+    dist, n_dl = np.array([0.25, 0.25, 0.5]), 24
+    rng = stream(8, "codeword-distinct")
+    keys = rng.integers(0, 2**64, size=4, dtype=np.uint64)
+    keys[3] = keys[0]
+    pool = rng.integers(0, 3, size=(4, 6, 5))
+    pool[3] = pool[0]
+    users = [rng.integers(0, 6, size=7) for _ in range(3)]
+    pick = np.concatenate([[users[0][0]], *users])
+    words = pool[:, pick]  # (T, C, len), C = 22
+    hashed, real = [], codec.uniforms
+
+    def spy(seeds, count):
+        hashed.append(np.size(seeds))
+        return real(seeds, count)
+
+    monkeypatch.setattr(codec, "uniforms", spy)
+
+    def single(key, word):
+        return DownlinkCodebook(dist, n_dl, key).codeword(word)
+
+    rows = DownlinkCodebook(dist, n_dl, keys).codeword(words)
+    assert rows.shape == (4, 22, n_dl) and rows.dtype == np.uint8
+    for t, key in enumerate(keys):
+        for c, word in enumerate(words[t]):
+            assert np.array_equal(rows[t, c], single(key, word))
+    # Trials 0 and 3 share key and words, so one seed serves both.
+    assert hashed[0] == len({(int(k), w.tobytes()) for k, ws in zip(keys, words) for w in ws})
+    assert hashed[0] == len(np.unique(pick)) * 3
+    # (C, len) and 1-D words under one key.
+    cb = DownlinkCodebook(dist, n_dl, keys[1])
+    assert np.array_equal(cb.codeword(words[1]), rows[1])
+    assert np.array_equal(cb.codeword(words[1, 2]), rows[1, 2])
+    # A stack of one word repeated: one seed, every row alike.
+    hashed.clear()
+    same = cb.codeword(np.repeat(words[1, :1], 9, axis=0))
+    assert hashed == [1] and same.shape == (9, n_dl)
+    assert all(np.array_equal(r, single(keys[1], words[1, 0])) for r in same)
+    # Zero-length words: each key's one empty word, alone and stacked.
+    empty = DownlinkCodebook(dist, n_dl, keys).codeword(np.zeros((4, 3, 0), dtype=np.int64))
+    assert empty.shape == (4, 3, n_dl)
+    for t, key in enumerate(keys):
+        want = single(key, np.zeros(0, dtype=np.int64))
+        assert want.shape == (n_dl,)
+        assert all(np.array_equal(r, want) for r in empty[t])
 
 
 def test_codeword_symbol_frequencies_follow_a_nonuniform_input_dist():
@@ -1032,7 +1087,7 @@ def test_stacked_calls_equal_per_trial_calls():
             known = {m: v for m, v in stacked.items() if a in m}
             cand = candidate_set(scheme, a, known)
             y = sample_downlink(down, a, x0, uniforms)
-            got = user_decode_word(y, cb, cand, down, a)
+            got = user_decode_word(y, cb.codeword(cand.words), down, a)
             rec = recover_messages(scheme, a, got)
             for i in range(trials):
                 known_i = {m: v[i] for m, v in known.items()}
@@ -1041,7 +1096,7 @@ def test_stacked_calls_equal_per_trial_calls():
                 cb_i = DownlinkCodebook(np.array([0.5, 0.5]), 6, keys[i])
                 assert np.array_equal(cb.codeword(cand.words)[i], cb_i.codeword(cand_i.words))
                 assert np.array_equal(y[i], sample_downlink(down, a, x0[i], uniforms[i]))
-                got_i = user_decode_word(y[i], cb_i, cand_i, down, a)
+                got_i = user_decode_word(y[i], cb_i.codeword(cand_i.words), down, a)
                 assert got[i] == got_i
                 rec_i = recover_messages(scheme, a, got_i)
                 assert all(np.array_equal(rec[m][i], rec_i[m]) for m in rec_i)

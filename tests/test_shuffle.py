@@ -134,6 +134,20 @@ def test_shuffle_random_instances_terminate_and_solve():
             assert gf.rank(field, system.matrix) == n_unknown
 
 
+def test_run_shuffle_leaves_its_input_unchanged():
+    # The returned columns are new, with cells of their own; swaps never reach the input's.
+    rng = stream(99, "shuffle")
+    swapped = 0
+    for _ in range(300):
+        t = random_table(rng)
+        cols = simplify(t)
+        out, log = run_shuffle(cols)
+        assert [c.cells for c in cols] == [c.cells for c in simplify(t)]
+        assert all(o is not c and o.cells is not c.cells for o, c in zip(out, cols))
+        swapped += bool(log)
+    assert swapped > 0
+
+
 def test_swap_log_monotone_measure():
     rng = stream(99, "monotone")
     for _ in range(60):

@@ -266,7 +266,7 @@ def test_downlink_errors_shrink_with_codeword_length():
             known = {m: v for m, v in msgs.items() if 2 in m}
             cands = codec.candidate_set(scheme, 2, known)
             y = sample_downlink(down, 2, x0, stream(12, "dlnoise", n_dl, t).random(x0.shape))
-            got = cands.words[codec.user_decode_word(y, cb, cands, down, 2)]
+            got = cands.words[codec.user_decode_word(y, cb.codeword(cands.words), down, 2)]
             wrong += not onp.array_equal(got, truth)
         errors[n_dl] = wrong
     # rate 3/40 is far below I(X0;Y) ~ 0.53, 3/6 is not
@@ -355,7 +355,7 @@ def ref_run_trial(cfg: TrialConfig, down, scheme, key: int, t: int) -> tuple[boo
         known = {m: v for m, v in messages.items() if a in m}
         cands = codec.candidate_set(scheme, a, known)
         y_a = sample_downlink(down, a, x0, np.array(take(cfg.n_dl)))
-        row = codec.user_decode_word(y_a, codebook, cands, down, a)
+        row = codec.user_decode_word(y_a, codebook.codeword(cands.words), down, a)
         downlink |= not np.array_equal(cands.words[row], word_hat)
         recovered = codec.recover_messages(scheme, a, row)
         failed |= any(not np.array_equal(v, messages[m]) for m, v in recovered.items())
@@ -568,3 +568,22 @@ def test_a_wrong_recovery_from_right_words_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(codec, "recover_messages", corrupt)
     with pytest.raises(RuntimeError, match="recovered wrongly"):
         run_trials(zero_noise_cfg(trials=4))
+
+
+@pytest.mark.parametrize(
+    "name, distinct", [("noisy_uplink_small.json", 32), ("noisy_uplink_f4.json", 1024)]
+)
+def test_each_trial_hashes_each_distinct_relay_word_once(monkeypatch, name, distinct):
+    # The broadcast word and the three users' candidates are 1 + 3 x 32 (GF(2))
+    # or 1 + 3 x 1024 (GF(4)) words a trial, all of them relay words of length
+    # 5, so 2^5 or 4^5 are distinct.  A generator redraw hashes one seed.
+    cfg = replace(bundled(name, 11), trials=20)
+    hashed, real = [], codec.uniforms
+
+    def spy(seeds, count):
+        hashed.append(np.size(seeds))
+        return real(seeds, count)
+
+    monkeypatch.setattr(codec, "uniforms", spy)
+    st = run_trials(cfg)
+    assert sum(hashed) - st.redraws == distinct * cfg.trials
