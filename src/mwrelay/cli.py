@@ -18,6 +18,7 @@ negative verdict, 2 bad config or flag, 3 desk-scale capability exceeded,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import capacity, sim
+from . import capacity, codec, sim
 from .capacity import RateTuple, RegionEvaluator, fdfp_feasible, region_slice
 from .channel import DownlinkSpec, UplinkSpec
 from .codec import CapabilityError
@@ -44,6 +45,15 @@ from .shuffle import decode_matrix, run_shuffle, simplify
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
+
+
+@contextlib.contextmanager
+def _about_config(prefix: str = ""):
+    """A ``ValueError`` raised inside, from config values, as a ``ConfigError`` after ``prefix``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(prefix + str(exc)) from exc
 
 
 def _object(value, where: str) -> dict:
@@ -106,10 +116,8 @@ def parse_channel(obj: dict) -> tuple[UplinkSpec, DownlinkSpec]:
     poly = spec.get("reduction_poly")
     if poly is not None:
         poly = [_integer(c, "field.reduction_poly") for c in _list(poly, "field.reduction_poly")]
-    try:
+    with _about_config("bad field spec: "):
         field = Field(order, poly)
-    except ValueError as exc:
-        raise ConfigError(f"bad field spec: {exc}") from exc
     dl = obj["downlink"]
     _require_keys(dl, {"input_size", "users"}, "downlink", {"input_size"})
     users = []
@@ -120,11 +128,9 @@ def parse_channel(obj: dict) -> tuple[UplinkSpec, DownlinkSpec]:
         if not rows or len({row.size for row in rows}) > 1:
             raise ConfigError(f"{where} must be a nonempty list of equal-length rows")
         users.append(np.stack(rows))
-    try:
+    with _about_config():
         down = DownlinkSpec(_integer(dl["input_size"], "downlink.input_size"), tuple(users))
         up = UplinkSpec(field, noise)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     return up, down
 
 
@@ -133,20 +139,16 @@ def parse_rates(obj: dict, where: str = "rates") -> RateTuple:
     private = [_fraction(v, where) for v in _list(obj["private"], f"{where}.private")]
     common = _object(obj["common"], f"{where}.common") if "common" in obj else {}
     common = {key: _fraction(v, where) for key, v in common.items()}
-    try:
+    with _about_config(f"{where}: "):
         return RateTuple.from_lists(private, common)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_lengths(obj: dict) -> SymbolLengths:
     keys = {"num_users", "k"}
     _require_keys(obj, keys, "lengths", keys)
     k = {m: _integer(v, f"lengths.k[{m!r}]") for m, v in _object(obj["k"], "lengths.k").items()}
-    try:
+    with _about_config("lengths: "):
         return SymbolLengths(_integer(obj["num_users"], "lengths.num_users"), k)
-    except ValueError as exc:
-        raise ConfigError(f"lengths: {exc}") from exc
 
 
 def _load_config(path: str) -> dict:
@@ -191,8 +193,9 @@ def cmd_region_check(cfg: dict, args) -> int:
     _require_keys(cfg, {"channel", "rates", "caps"}, "config", {"channel", "rates"})
     up, down = parse_channel(cfg["channel"])
     rates = parse_rates(cfg["rates"])
-    evaluator = RegionEvaluator(up, down)
-    rep = evaluator.report(rates)
+    if rates.num_users != down.num_users:
+        raise ConfigError(f"rates name {rates.num_users} users, the downlink {down.num_users}")
+    rep = RegionEvaluator(up, down).report(rates)
     lines = []
     for a, s in enumerate(rep.sum_rates, start=1):
         lines.append(f"sum rate user {a}: {s} = {float(s):.6f} bits/use")
@@ -227,6 +230,8 @@ def cmd_fdfp_check(cfg: dict, args) -> int:
         caps = _default_caps(up, down)
     else:
         raise ConfigError("fdfp-check needs 'caps' or a 'channel' to derive them from")
+    if len(caps) != rates.num_users:
+        raise ConfigError(f"one cap per user required: {len(caps)} for {rates.num_users} users")
     res = fdfp_feasible(rates, caps)
     lines = []
     if res.feasible:
@@ -296,19 +301,9 @@ def cmd_simulate(cfg: dict, args) -> int:
     up, down = parse_channel(cfg["channel"])
     rates = parse_rates(cfg["rates"]) if "rates" in cfg else None
     lengths = parse_lengths(cfg["lengths"]) if "lengths" in cfg else None
-    try:
-        trial_cfg = sim.TrialConfig(
-            up,
-            down,
-            n=_integer(cfg["n"], "n"),
-            n_dl=_integer(cfg["n_dl"], "n_dl"),
-            trials=_integer(cfg["trials"], "trials"),
-            master_seed=args.seed,
-            rates=rates,
-            lengths=lengths,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    n, n_dl, trials = (_integer(cfg[key], key) for key in ("n", "n_dl", "trials"))
+    with _about_config():
+        trial_cfg = sim.TrialConfig(up, down, n, n_dl, trials, args.seed, rates, lengths)
     axis, values = "n", [trial_cfg.n]  # without a sweep, one run at the config's n
     if "sweep" in cfg:
         sweep_cfg = cfg["sweep"]
@@ -316,10 +311,15 @@ def cmd_simulate(cfg: dict, args) -> int:
         axis = sweep_cfg["axis"]
         parse = _integer if axis == "n" else _fraction
         values = [parse(v, "sweep.values") for v in _list(sweep_cfg["values"], "sweep.values")]
-    for v in values if rates is not None else ():
-        run = sim.at_axis_value(trial_cfg, axis, v)
-        ks = ", ".join(f"{k}:{x}" for k, x in sorted(run.resolved_lengths().k.items()) if x)
-        print(f"quantized symbol lengths at {axis}={v}: {ks or 'all zero'}", file=sys.stderr)
+        if not values:
+            raise ConfigError("sweep.values must not be empty")
+    for v in values:  # every run's axis value and block lengths are checked before any run
+        with _about_config():
+            run = sim.at_axis_value(trial_cfg, axis, v)
+            codec.allocate_block_lengths(build_table(reindex_users(run.resolved_lengths())[1]), run.n)
+        if rates is not None:
+            ks = ", ".join(f"{k}:{x}" for k, x in sorted(run.resolved_lengths().k.items()) if x)
+            print(f"quantized symbol lengths at {axis}={v}: {ks or 'all zero'}", file=sys.stderr)
     progress = (lambda line: print(line, file=sys.stderr)) if "sweep" in cfg else None
     rows = sim.sweep(trial_cfg, axis, values, progress=progress)
     header = "axis_value,trials,failures,p_hat,lo95,hi95,redraws,uplink_fail,downlink_fail"
@@ -332,20 +332,24 @@ def cmd_region_sweep(cfg: dict, args) -> int:
     _require_keys(cfg, required, "config", required)
     up, down = parse_channel(cfg["channel"])
     rates = parse_rates(cfg["rates"])
+    if rates.num_users != down.num_users:
+        raise ConfigError(f"rates name {rates.num_users} users, the downlink {down.num_users}")
     sw = cfg["sweep"]
     _require_keys(sw, {"x", "y", "step", "max"}, "sweep", {"x", "y", "step"})
     keys = []
     for axis in ("x", "y"):
-        try:
+        with _about_config(f"sweep.{axis}: "):
             keys.append(msg_id(sw[axis]))
-        except ValueError as exc:
-            raise ConfigError(f"sweep.{axis}: {exc}") from exc
         if keys[-1] not in rates.rates:
             raise ConfigError(f"sweep.{axis}: no message {keys[-1]} among {rates.num_users} users")
     if keys[0] == keys[1]:
         raise ConfigError(f"sweep.y: message {keys[1]} is also sweep.x")
     step = _fraction(sw["step"], "sweep.step")
     max_val = _fraction(sw["max"], "sweep.max") if "max" in sw else None
+    if step <= 0:
+        raise ConfigError("sweep.step: grid step must be positive")
+    if max_val is not None and max_val < 0:
+        raise ConfigError(f"sweep.max: grid max {max_val} is below 0, so the grid is empty")
     rows = region_slice(rates, *keys, up, down, step, max_val)
     name_x, name_y = ("R_" + "_".join(map(str, key)) for key in keys)
     lines = [f"{name_x},{name_y},achievable,outer"]
@@ -411,8 +415,7 @@ def main(argv=None) -> int:
     except argparse.ArgumentError as exc:
         print(f"mwrelay {args.command}: error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # every value reaching the modules comes from the config file
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception:

@@ -35,18 +35,15 @@ from .channel import DownlinkSpec, UplinkSpec, sample_downlink, sample_uplink_no
 from .schedule import SymbolLengths, build_table, reindex_users
 from .shuffle import run_shuffle, simplify
 
-# Largest stacked array, in elements, one chunk of trials may build: the
-# relay's candidate words (F^k x n a block) or a user's candidate codewords
-# (C x n_dl).  All users' codewords share one stack of (1 + sum C) x n_dl
-# uint8 symbols (up to 256 inputs), with at most seven users fewer bytes than
-# C x n_dl int64 ones, so C x n_dl is what counts.  The pass draws float rows
-# only for distinct words: C of them on every bundled config, at most 1 + sum C.
-# Chunks share each call's fixed cost: noisy_uplink_small's 10-trial chunk
-# (20,480 elements) ran 0.71 ms a trial against 0.78 in chunks of 8 and 1.43
-# in chunks of 2.  Large stacks gain nothing: GF(4), k=6, n=16 relay spans
-# (65,536 elements each) ran 1.58 ms a trial two at a time against 1.30 one
-# at a time (median CPU time, 2 vCPU Xeon, shared host).
-_STACK_BUDGET = 2**15
+# Bytes of the widest stack one trial adds to a chunk: the relay's candidate words
+# (F^k x n a block, in the span's dtype) or a user's candidate codewords (C x n_dl
+# uint8).  Chunks share each call's fixed costs.  Median CPU a trial (2 vCPU Xeon,
+# shared host, budgets alternated in one process): relay_gf4's 4-trial calls (64 KiB
+# a trial) ran 0.39 ms in chunks of 1, 0.27 in 2 and 0.26 in 4, its 8-trial calls
+# 0.36, 0.25, 0.18 and, in one chunk of 8, 0.23 with 40 fresh pages a trial;
+# noisy_uplink_f4 at 200 trials (48 KiB) ran 2.84 ms at 2^15 bytes, 2.04 at 2^17,
+# 1.64 at 2^18, 1.62 at 2^19 and 2.24 at 2^20 (221 fresh pages a trial).
+_STACK_BUDGET = 2**18
 
 
 def _symbols(order: int, bits: Fraction) -> int:
@@ -94,6 +91,8 @@ class TrialConfig:
             raise ValueError("block lengths must be positive")
         if self.trials <= 0:
             raise ValueError("trial count must be positive")
+        if self.down.num_users != (self.rates or self.lengths).num_users:
+            raise ValueError("downlink and rate tuple disagree on the user count")
 
     def resolved_lengths(self) -> SymbolLengths:
         if self.lengths is not None:
@@ -182,11 +181,11 @@ def _tally(job, source, trials: int, width: int, per_trial: int) -> ErrorStats:
     """ErrorStats from ``job(seeds, u) -> (failures, redraws, uplink, downlink)`` over all trials.
 
     Trial t's seed is ``rng.seed(key, t)``, key drawn from the stream ``source``, and u
-    its ``width`` uniforms, drawn as many trials at a time as fit in ``_STACK_BUDGET``;
-    ``job`` gets contiguous chunks whose arrays, at ``per_trial`` elements a trial, fit too.
+    its ``width`` float64 uniforms, drawn as many trials at a time as fit in ``_STACK_BUDGET``
+    bytes; ``job`` gets contiguous chunks whose arrays, at ``per_trial`` bytes a trial, fit too.
     """
     key, size = source.integers(0, 2**64, dtype=np.uint64), max(1, _STACK_BUDGET // per_trial)
-    step, results = size * max(1, _STACK_BUDGET // (size * width)), []
+    step, results = size * max(1, _STACK_BUDGET // (size * width * 8)), []
     for start in range(0, trials, step):
         seeds = rng.seed(key, np.arange(start, min(start + step, trials)))
         u = rng.uniforms(seeds, width)
@@ -201,8 +200,6 @@ def run_trials(cfg: TrialConfig, threads: int = 1) -> ErrorStats:
     ``threads`` has no effect; trials run on the calling thread.
     """
     order, lengths = reindex_users(cfg.resolved_lengths())
-    if cfg.down.num_users != lengths.num_users:
-        raise ValueError("downlink and rate tuple disagree on the user count")
     # Relabel the downlink to match the reindexed users.
     down = DownlinkSpec(cfg.down.input_size, tuple(cfg.down.channel(old) for old in order))
     # The schedule and the relay map are deterministic in the lengths, so
@@ -211,8 +208,9 @@ def run_trials(cfg: TrialConfig, threads: int = 1) -> ErrorStats:
     cols, _ = run_shuffle(simplify(table))
     scheme = codec.compile_scheme(cfg.up.field, table, cols)
     block_n = codec.allocate_block_lengths(table, cfg.n)
+    symbol = np.min_scalar_type(cfg.up.field.order - 1).itemsize  # a relay span's, in bytes
     per_trial = max(
-        [cfg.up.field.order ** b.width * block_n[b.msg] for b in table.blocks]
+        [cfg.up.field.order ** b.width * block_n[b.msg] * symbol for b in table.blocks]
         + [user.image.shape[0] * cfg.n_dl for user in scheme.users]
     )
     code_symbols = sum((b.width + 2) * block_n[b.msg] for b in table.blocks)
@@ -280,4 +278,5 @@ def sum_decode_trials(
         return failed, redraws, failed, 0
 
     width = 2 * k + (k + 3) * n
-    return _tally(job, rng.stream(master_seed, "sum-decode"), trials, width, field.order**k * n)
+    per_trial = field.order**k * n * np.min_scalar_type(field.order - 1).itemsize
+    return _tally(job, rng.stream(master_seed, "sum-decode"), trials, width, per_trial)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from mwrelay import cli, sim
+from mwrelay import capacity, cli, codec, lp, sim
 from mwrelay.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -610,6 +610,59 @@ def test_an_internal_error_exits_4_with_its_traceback(capsys, monkeypatch):
     assert (code, out) == (4, "")
     assert err.startswith("internal error:\nTraceback (most recent call last):")
     assert err.rstrip().endswith("KeyError: 'no such slot'") and "config error" not in err
+
+
+@pytest.mark.parametrize(
+    "command, name, edit, message",
+    [
+        ("region-check", F4, lambda c: c["channel"]["downlink"]["users"].pop(),
+         "rates name 3 users, the downlink 2"),
+        ("region-sweep", SWEEP_F4, lambda c: c["sweep"].update(step="0"),
+         "sweep.step: grid step must be positive"),
+        ("simulate", ZERO, lambda c: c["channel"]["downlink"]["users"].pop(),
+         "downlink and rate tuple disagree on the user count"),
+        ("simulate", ZERO, lambda c: c.update(sweep={"axis": "k", "values": [1]}),
+         "unknown sweep axis 'k'"),
+        ("simulate", ZERO, lambda c: c.update(sweep={"axis": "rate_scale", "values": [1]}),
+         "rate_scale sweeps need a rate tuple"),
+        ("simulate", ZERO, lambda c: c.update(sweep={"axis": "n", "values": []}),
+         "sweep.values must not be empty"),
+        ("simulate", ZERO, lambda c: c.update(sweep={"axis": "n", "values": [10, 4]}),
+         "n=4 is below the"),
+    ],
+    ids=["region-check-users", "sweep-step", "simulate-users", "simulate-axis",
+         "rate-scale-without-rates", "no-sweep-values", "short-block"],
+)
+def test_library_value_errors_about_the_config_exit_2_before_any_run(
+    tmp_path, capsys, monkeypatch, command, name, edit, message
+):
+    def run_nothing(*args, **kwargs):
+        raise AssertionError("a run started before the config was checked")
+
+    for module, attr in ((sim, "run_trials"), (capacity, "max_min_downlink")):
+        monkeypatch.setattr(module, attr, run_nothing)
+    code, out, err = run([command, "--config", _edited_config(tmp_path, name, edit)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and message in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command, name, module, attr",
+    [("region-check", F4, capacity, "max_min_downlink"), ("simulate", ZERO, codec, "relay_decode_sum"),
+     ("fdfp-check", F4, lp, "solve_lp")],
+)
+def test_an_internal_value_error_exits_4_not_as_a_config_error(
+    capsys, monkeypatch, command, name, module, attr
+):
+    def broken(*args, **kwargs):
+        raise ValueError("an internal invariant failed")
+
+    monkeypatch.setattr(module, attr, broken)
+    code, out, err = run([command, "--config", CONFIGS / name], capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error:\nTraceback (most recent call last):")
+    assert err.rstrip().endswith("ValueError: an internal invariant failed")
+    assert "config error" not in err
 
 
 def test_a_failed_run_leaves_no_output_file(tmp_path, capsys):

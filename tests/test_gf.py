@@ -478,6 +478,25 @@ def test_span_matches_a_brute_force_enumeration(order):
     assert span(f, empty, positions_major=True).tolist() == [[0], [0], [0]]
 
 
+@pytest.mark.parametrize("order", [4093, 2**12])
+def test_span_builds_no_field_by_field_table(order):
+    # The multiples come from the product rows of the generator's two values, so
+    # the peak stays near the field's own tables; an int64 F x F product table
+    # would take 134 MB here.
+    f = Field(order)
+    g = np.array([[1, order - 1]])
+    words = span(f, g)  # the first call's imports and caches stay out of the peak
+    tracemalloc.start()
+    try:
+        assert np.array_equal(span(f, g), words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert words[:, 0].tolist() == list(range(order))
+    assert words[:, 1].tolist() == [f.mul(u, order - 1) for u in range(order)]
+
+
 @pytest.mark.parametrize("order", [2, 3, 4, 9])
 def test_span_index_and_span_vectors_invert_each_other(order):
     f = Field(order)

@@ -512,6 +512,43 @@ def test_chunk_size_does_not_change_the_counts(monkeypatch, chunk, sizes):
     assert sorted(chunks) == sorted(sizes * 4)
 
 
+def spy_chunks(monkeypatch) -> dict:
+    """Record the ``per_trial`` bytes ``_tally`` gets and the trial count of each chunk."""
+    seen, tally = {"per_trial": [], "chunks": []}, sim._tally
+
+    def spy_tally(job, source, trials, width, per_trial):
+        def spy_job(seeds, u):
+            seen["chunks"].append(len(seeds))
+            return job(seeds, u)
+
+        seen["per_trial"].append(per_trial)
+        return tally(spy_job, source, trials, width, per_trial)
+
+    monkeypatch.setattr(sim, "_tally", spy_tally)
+    return seen
+
+
+def test_the_default_budget_decodes_a_relay_gf4_call_in_one_chunk(monkeypatch):
+    # 4^6 candidate words of 16 uint8 symbols are 64 KiB a trial; over GF(257)
+    # the span's symbols are uint16, two bytes each.
+    seen = spy_chunks(monkeypatch)
+    up = UplinkSpec(Field(4), np.array([0.8, 0.1, 0.05, 0.05]))
+    assert sum_decode_trials(up, 6, 16, 4, 7).trials == 4
+    assert seen == {"per_trial": [4**6 * 16], "chunks": [4]}
+    sum_decode_trials(UplinkSpec(Field(257), np.array([0.9] + [0.1 / 256] * 256)), 1, 3, 2, 7)
+    assert seen["per_trial"][1:] == [257 * 3 * 2]
+
+
+def test_run_trials_chunks_noisy_uplink_f4_by_the_byte_rule(monkeypatch):
+    # Each user's 4^5 candidate codewords of n_dl = 48 uint8 symbols, 48 KiB a
+    # trial, outweigh the relay's widest span, 4^2 words of 9 symbols.
+    seen, trials = spy_chunks(monkeypatch), 200
+    st = run_trials(replace(bundled("noisy_uplink_f4.json", 11), trials=trials))
+    size = sim._STACK_BUDGET // (4**5 * 48)
+    assert st.trials == trials and seen["per_trial"] == [4**5 * 48] and size > 1
+    assert seen["chunks"] == [size] * (trials // size) + [trials % size] * (trials % size > 0)
+
+
 @pytest.mark.parametrize(
     "order, pmf, k, n",
     [(2, [0.9, 0.1], 6, 7), (3, [0.8, 0.1, 0.1], 4, 5), (4, [0.8, 0.1, 0.05, 0.05], 6, 16)],
