@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -122,12 +121,11 @@ def mutual_info(dist: np.ndarray, w: np.ndarray) -> float:
 def most_likely(law: np.ndarray, index: np.ndarray) -> int | np.ndarray:
     """Exact ML: the first row of ``index`` maximizing prod_t law[index_t].
 
-    ``law`` is a flat table of V probabilities, ``index`` a (C, n) integer array
-    (giving an int) or a (..., C, n) stack (an index per stack).  A row scores
-    s = sum_q N_q log q by its type, the count N_q of each probability q < 1 it
-    holds (q = 0 scores -inf), one compare-and-sum over the positions per value,
-    fastest on the swapaxes view of a positions-major array; with no value of
-    probability 1, the last value's count is n minus the others'.
+    ``law`` is a flat table of V probabilities, ``index`` a (C, n) integer
+    array (giving an int) or a (..., C, n) stack (an index per stack).  A row
+    scores s = sum_q N_q log q by its type, the count N_q of each probability
+    q < 1 it holds (q = 0 scores -inf), one compare-and-sum over the positions
+    per value, fastest on the swapaxes view of a positions-major array.
 
     Tie rule: every term is <= 0, so with u = 2^-53, rounded products and sum
     of at most V terms and log within 2^8 u, s is within rho |S| <=
@@ -137,12 +135,10 @@ def most_likely(law: np.ndarray, index: np.ndarray) -> int | np.ndarray:
     several types reach that bound, the first with the largest prod_q q^N_q,
     the floats as exact rationals, wins, so impossible rows alone give row 0.
     """
-    score, counts, n = np.zeros(index.shape[:-1]), {}, index.shape[-1]
-    probs, dtype = law.tolist(), np.min_scalar_type(n)
-    for v, p in enumerate(probs):
+    score, counts, dtype = np.zeros(index.shape[:-1]), {}, np.min_scalar_type(index.shape[-1])
+    for v, p in enumerate(law.tolist()):
         if p < 1:  # a probability of 1 changes no likelihood; counts[q] holds each row's N_q
-            c = (n - reduce(np.add, counts.values()) if v == len(probs) - 1 > 0 and 1 not in probs
-                 else np.add.reduce((index == v).view(np.uint8), -1, dtype))
+            c = np.add.reduce((index == v).view(np.uint8), -1, dtype)
             counts[p] = counts[p] + c if p in counts else c
     for p, c in counts.items():
         if p > 0:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import capacity, codec, sim
+from . import capacity, sim
 from .capacity import RateTuple, RegionEvaluator, fdfp_feasible, region_slice
 from .channel import DownlinkSpec, UplinkSpec
 from .codec import CapabilityError
@@ -311,15 +311,11 @@ def cmd_simulate(cfg: dict, args) -> int:
         axis = sweep_cfg["axis"]
         parse = _integer if axis == "n" else _fraction
         values = [parse(v, "sweep.values") for v in _list(sweep_cfg["values"], "sweep.values")]
-        if not values:
-            raise ConfigError("sweep.values must not be empty")
-    for v in values:  # every run's axis value and block lengths are checked before any run
-        with _about_config():
-            run = sim.at_axis_value(trial_cfg, axis, v)
-            codec.allocate_block_lengths(build_table(reindex_users(run.resolved_lengths())[1]), run.n)
-        if rates is not None:
-            ks = ", ".join(f"{k}:{x}" for k, x in sorted(run.resolved_lengths().k.items()) if x)
-            print(f"quantized symbol lengths at {axis}={v}: {ks or 'all zero'}", file=sys.stderr)
+    with _about_config():
+        runs = sim.sweep_configs(trial_cfg, axis, values)
+    for v, run in runs if rates is not None else ():
+        ks = ", ".join(f"{k}:{x}" for k, x in sorted(run.resolved_lengths().k.items()) if x)
+        print(f"quantized symbol lengths at {axis}={v}: {ks or 'all zero'}", file=sys.stderr)
     progress = (lambda line: print(line, file=sys.stderr)) if "sweep" in cfg else None
     rows = sim.sweep(trial_cfg, axis, values, progress=progress)
     header = "axis_value,trials,failures,p_hat,lo95,hi95,redraws,uplink_fail,downlink_fail"

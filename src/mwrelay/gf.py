@@ -272,22 +272,18 @@ def span(field: Field, g: np.ndarray, positions_major: bool = False) -> np.ndarr
 
     Row i is u g for the u whose big-endian index is i; ``positions_major``
     returns them as the columns of an (..., n, F^k) array.  Past ``ENUMERATION_LIMIT``
-    words it raises ``CapabilityError`` before allocating.  The multiples c g_r gather the
-    product rows of g's distinct values (all F if F <= g.size, never more rows than g has
-    entries).  Rows last to first, W <- c g_r + W for each c in F adds in the smallest
-    unsigned dtype holding F - 1, broadcast through a unit axis after c's and one before
-    W's words, in either layout.
+    words it raises ``CapabilityError`` before allocating.  Rows last to first,
+    W <- c g_r + W for each c in F adds in the smallest unsigned dtype holding F - 1,
+    broadcast through a unit axis after c's and one before W's words, in either layout.
     """
-    (*lead, k, n), order = g.shape, field.order
-    if order**k > ENUMERATION_LIMIT:
+    *lead, k, n = g.shape
+    if field.order**k > ENUMERATION_LIMIT:
         raise CapabilityError(
-            f"enumerating {order}^{k} candidates exceeds the 2^20 desk-scale bound;"
+            f"enumerating {field.order}^{k} candidates exceeds the 2^20 desk-scale bound;"
             f" shrink the message lengths"
         )
-    dtype = np.min_scalar_type(order - 1)
-    values, at = (np.arange(order), g) if order <= g.size else np.unique(g, return_inverse=True)
-    rows = field.mul(values[:, None], np.arange(order)).astype(dtype)
-    multiples = rows[np.reshape(at, g.shape)][..., None]
+    dtype = np.min_scalar_type(field.order - 1)
+    multiples = field.mul(g[..., None], np.arange(field.order)).astype(dtype)[..., None]
     multiples = multiples if positions_major else np.moveaxis(multiples, -3, -1)
     shape = (*lead, n, 1, -1) if positions_major else (*lead, 1, -1, n)
     words = np.zeros((*lead, n, 1, 1) if positions_major else (*lead, 1, 1, n), dtype=dtype)

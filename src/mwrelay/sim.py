@@ -36,13 +36,15 @@ from .schedule import SymbolLengths, build_table, reindex_users
 from .shuffle import run_shuffle, simplify
 
 # Bytes of the widest stack one trial adds to a chunk: the relay's candidate words
-# (F^k x n a block, in the span's dtype) or a user's candidate codewords (C x n_dl
-# uint8).  Chunks share each call's fixed costs.  Median CPU a trial (2 vCPU Xeon,
-# shared host, budgets alternated in one process): relay_gf4's 4-trial calls (64 KiB
-# a trial) ran 0.39 ms in chunks of 1, 0.27 in 2 and 0.26 in 4, its 8-trial calls
-# 0.36, 0.25, 0.18 and, in one chunk of 8, 0.23 with 40 fresh pages a trial;
-# noisy_uplink_f4 at 200 trials (48 KiB) ran 2.84 ms at 2^15 bytes, 2.04 at 2^17,
-# 1.64 at 2^18, 1.62 at 2^19 and 2.24 at 2^20 (221 fresh pages a trial).
+# (F^k x n a block, in the span's dtype) or a user's candidate codewords (C x n_dl,
+# 8 bytes a symbol: the codebook pass draws each distinct word's float64 uniforms).
+# Chunks share each call's fixed costs.  Median CPU a trial (2 vCPU Xeon, shared
+# host, budgets alternated in one process): relay_gf4's 4-trial calls (64 KiB a
+# trial) ran 0.39 ms in chunks of 1, 0.27 in 2 and 0.26 in 4, its 8-trial calls
+# 0.36, 0.25, 0.18 and, in one chunk of 8, 0.23 with 40 fresh pages a trial.
+# noisy_uplink_f4 at 200 trials (384 KiB a trial) ran 2.84 ms in chunks of 1, 1.64
+# in 5 and 2.24 in 21, but chunks of 5 took the run's peak RSS from 39 to 46 MB, so
+# user stacks keep the chunks of the former budget, 2^15 int64 elements.
 _STACK_BUDGET = 2**18
 
 
@@ -93,6 +95,9 @@ class TrialConfig:
             raise ValueError("trial count must be positive")
         if self.down.num_users != (self.rates or self.lengths).num_users:
             raise ValueError("downlink and rate tuple disagree on the user count")
+        # The table's columns are the symbols its user 1, the one lacking most, lacks.
+        if self.n < (total := max(self.resolved_lengths().k_sums())):
+            raise ValueError(f"n={self.n} is below the {total} aligned symbols to transmit")
 
     def resolved_lengths(self) -> SymbolLengths:
         if self.lengths is not None:
@@ -211,7 +216,7 @@ def run_trials(cfg: TrialConfig, threads: int = 1) -> ErrorStats:
     symbol = np.min_scalar_type(cfg.up.field.order - 1).itemsize  # a relay span's, in bytes
     per_trial = max(
         [cfg.up.field.order ** b.width * block_n[b.msg] * symbol for b in table.blocks]
-        + [user.image.shape[0] * cfg.n_dl for user in scheme.users]
+        + [user.image.shape[0] * cfg.n_dl * 8 for user in scheme.users]
     )
     code_symbols = sum((b.width + 2) * block_n[b.msg] for b in table.blocks)
     # The relay map has a row per message symbol.
@@ -233,18 +238,23 @@ def at_axis_value(cfg: TrialConfig, axis: str, v) -> TrialConfig:
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 
+def sweep_configs(cfg: TrialConfig, axis: str, values) -> list[tuple[object, TrialConfig]]:
+    """Each axis value with its run's config, every one checked before any run."""
+    runs = [(v, at_axis_value(cfg, axis, v)) for v in values]
+    if not runs:
+        raise ValueError("sweep needs at least one axis value")
+    return runs
+
+
 def sweep(cfg: TrialConfig, axis: str, values, progress=None) -> list[tuple[float, ErrorStats]]:
     """Run trials across an axis: block length ``n`` or ``rate_scale``.
 
     ``progress``, when given, is called with a text line after each
     axis value completes.
     """
-    values = list(values)
-    if not values:
-        raise ValueError("sweep needs at least one axis value")
     rows = []
-    for v in values:
-        stats = run_trials(at_axis_value(cfg, axis, v))
+    for v, run in sweep_configs(cfg, axis, values):
+        stats = run_trials(run)
         rows.append((float(v), stats))
         if progress is not None:
             progress(f"{axis}={v}: {stats.failures}/{stats.trials} failures")

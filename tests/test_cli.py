@@ -626,7 +626,7 @@ def test_an_internal_error_exits_4_with_its_traceback(capsys, monkeypatch):
         ("simulate", ZERO, lambda c: c.update(sweep={"axis": "rate_scale", "values": [1]}),
          "rate_scale sweeps need a rate tuple"),
         ("simulate", ZERO, lambda c: c.update(sweep={"axis": "n", "values": []}),
-         "sweep.values must not be empty"),
+         "sweep needs at least one axis value"),
         ("simulate", ZERO, lambda c: c.update(sweep={"axis": "n", "values": [10, 4]}),
          "n=4 is below the"),
     ],

@@ -480,9 +480,9 @@ def test_span_matches_a_brute_force_enumeration(order):
 
 @pytest.mark.parametrize("order", [4093, 2**12])
 def test_span_builds_no_field_by_field_table(order):
-    # The multiples come from the product rows of the generator's two values, so
-    # the peak stays near the field's own tables; an int64 F x F product table
-    # would take 134 MB here.
+    # The multiples c g take F products a generator entry, so the peak stays
+    # near the field's own tables; an int64 F x F product table would take
+    # 134 MB here.
     f = Field(order)
     g = np.array([[1, order - 1]])
     words = span(f, g)  # the first call's imports and caches stay out of the peak

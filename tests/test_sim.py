@@ -151,6 +151,18 @@ def test_sweep_rejects_a_non_integral_block_length():
     assert sweep(cfg, "n", [10, 10.0]) == [(10.0, run_trials(cfg))] * 2
 
 
+@pytest.mark.parametrize("name", ["noisy_uplink_small.json", "noisy_uplink_f4.json"])
+def test_trial_configs_refuse_a_block_below_the_table_columns(name, monkeypatch):
+    cfg = bundled(name, 11)
+    total = build_table(reindex_users(cfg.lengths)[1]).total_cols
+    assert replace(cfg, n=total).n == total
+    with pytest.raises(ValueError, match=f"n={total - 1} is below the {total} aligned"):
+        replace(cfg, n=total - 1)
+    monkeypatch.setattr(sim, "run_trials", lambda cfg: pytest.fail("a run started"))
+    with pytest.raises(ValueError, match=f"n={total - 1} is below"):
+        sweep(cfg, "n", [total, total - 1])  # every value is checked before any run
+
+
 def test_sweep_rate_scale_requires_rates():
     cfg = zero_noise_cfg(trials=5)
     with pytest.raises(ValueError):
@@ -539,13 +551,22 @@ def test_the_default_budget_decodes_a_relay_gf4_call_in_one_chunk(monkeypatch):
     assert seen["per_trial"][1:] == [257 * 3 * 2]
 
 
-def test_run_trials_chunks_noisy_uplink_f4_by_the_byte_rule(monkeypatch):
-    # Each user's 4^5 candidate codewords of n_dl = 48 uint8 symbols, 48 KiB a
-    # trial, outweigh the relay's widest span, 4^2 words of 9 symbols.
+@pytest.mark.parametrize(
+    "name, per_trial",
+    [
+        # Each user's 4^5 candidate codewords of n_dl = 48 symbols, at the codebook
+        # pass's 8 float bytes a symbol, 384 KiB a trial, outweigh the relay's widest
+        # span, 4^2 words of 9 symbols: one trial a chunk.
+        ("noisy_uplink_f4.json", 4**5 * 48 * 8),
+        # 32 candidates of 64 symbols, 16 KiB a trial: 16 trials a chunk.
+        ("noisy_uplink_small.json", 32 * 64 * 8),
+    ],
+)
+def test_run_trials_chunks_the_bundled_configs_by_the_byte_rule(monkeypatch, name, per_trial):
     seen, trials = spy_chunks(monkeypatch), 200
-    st = run_trials(replace(bundled("noisy_uplink_f4.json", 11), trials=trials))
-    size = sim._STACK_BUDGET // (4**5 * 48)
-    assert st.trials == trials and seen["per_trial"] == [4**5 * 48] and size > 1
+    st = run_trials(replace(bundled(name, 11), trials=trials))
+    size = max(1, sim._STACK_BUDGET // per_trial)
+    assert st.trials == trials and seen["per_trial"] == [per_trial]
     assert seen["chunks"] == [size] * (trials // size) + [trials % size] * (trials % size > 0)
 
 
